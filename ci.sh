@@ -24,6 +24,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> perfbench tests"
+# The benchmark harness is its own package (outside the workspace) that
+# drives the core campaign API; testing it here makes an API change that
+# breaks the benchmark fail CI rather than the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> smoke campaign (~20s)"
 # A quick fixed-seed fleet campaign through the throughput harness; writes
 # to a scratch path so the committed BENCH_campaign.json is not clobbered.
@@ -40,8 +46,7 @@ echo "==> within-dialect partitioned runner"
 # merged report (metrics, bug reports, replayable cases, validity series,
 # learned profile) is byte-identical to the single-worker run. The binary
 # probes available_parallelism() itself: the speedup assertion only arms
-# on multi-CPU machines (this container reports 1 CPU), the identity
-# check always runs.
+# on multi-CPU machines, the identity check always runs.
 ./target/release/campaign_throughput --partitioned-check mariadb
 
 echo "==> fault-storm robustness gate"

@@ -75,15 +75,13 @@
 //!   `campaign_throughput --sqlite-check`
 
 use dbms_sim::{
-    available_threads, fleet, observed_infra_kinds, preset_by_name, run_campaign_partitioned,
-    run_campaign_partitioned_pooled, run_campaign_partitioned_supervised,
-    run_campaign_partitioned_traced, run_fleet_parallel, run_fleet_serial, DialectPreset,
-    ExecutionPath, FaultyConfig, FleetReport, InfraFaultKind,
+    available_threads, fleet, fleet_drivers, observed_infra_kinds, preset_by_name, CampaignRun,
+    DialectPreset, ExecutionPath, FaultyConfig, InfraFaultKind, RunOutcome,
 };
 use dbms_sqlite::SqliteProcDriver;
 use sqlancer_core::driver::{Driver, Pool};
 use sqlancer_core::{
-    load_checkpoint, render_atlas_report, render_report, render_trace_summary,
+    first_divergence, load_checkpoint, render_atlas_report, render_report, render_trace_summary,
     silence_infra_panics, validate_jsonl, Campaign, CampaignConfig, CampaignReport, OracleKind,
     SupervisorConfig, TraceHandle, Tracer, INFRA_MARKER,
 };
@@ -235,7 +233,7 @@ struct Arm {
     elapsed_s: f64,
     /// Estimated statements per test case for this arm's oracle schedule.
     stmts_per_case: f64,
-    report: FleetReport,
+    report: RunOutcome,
 }
 
 impl Arm {
@@ -288,12 +286,11 @@ fn run_arms(
     arms: &[(&'static str, ExecutionPath)],
     stmts_per_case: f64,
 ) -> Vec<Arm> {
-    let presets = fleet();
     let mut best: Vec<Option<Arm>> = arms.iter().map(|_| None).collect();
     for _ in 0..3 {
         for (slot, (label, path)) in arms.iter().enumerate() {
             let start = Instant::now();
-            let report = run_fleet_serial(&presets, config, *path);
+            let report = CampaignRun::fleet(fleet_drivers(*path), config.clone()).run();
             let elapsed_s = start.elapsed().as_secs_f64();
             if best[slot].as_ref().is_none_or(|b| elapsed_s < b.elapsed_s) {
                 best[slot] = Some(Arm {
@@ -390,38 +387,43 @@ fn partitioned_check(dialect: &str) -> ! {
     config.databases = 4;
     config.oracles = vec![OracleKind::Tlp, OracleKind::NoRec, OracleKind::Isolation];
     let threads = available_threads();
-    let serial_start = Instant::now();
-    let serial = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-    let serial_s = serial_start.elapsed().as_secs_f64();
-    let parallel_start = Instant::now();
-    let parallel = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, threads.max(2));
-    let parallel_s = parallel_start.elapsed().as_secs_f64();
-    let identical = serial.report.metrics == parallel.report.metrics
-        && serial.report.reports == parallel.report.reports
-        && serial.report.prioritized_cases == parallel.report.prioritized_cases
-        && serial.report.txn_cases == parallel.report.txn_cases
-        && serial.report.schedule_cases == parallel.report.schedule_cases
-        && serial.report.validity_series == parallel.report.validity_series
-        && serial
-            .profile
-            .iter_query()
-            .eq(parallel.profile.iter_query())
-        && serial.profile.iter_ddl().eq(parallel.profile.iter_ddl());
-    if !identical {
-        eprintln!("FAIL: partitioned campaign diverged between 1 and {threads} workers");
+    let workers = threads.max(2);
+    let driver = preset.driver(ExecutionPath::Ast);
+    let timed_run = |workers| {
+        let start = Instant::now();
+        let outcome = CampaignRun {
+            workers,
+            ..CampaignRun::sharded(Arc::clone(&driver), config.clone())
+        }
+        .run();
+        (start.elapsed().as_secs_f64(), outcome)
+    };
+    let (serial_s, serial) = timed_run(1);
+    let (parallel_s, parallel) = timed_run(workers);
+    let what = format!("partitioned campaign between 1 and {workers} workers");
+    fail_on_divergence(
+        &what,
+        &render_report(&serial.reports[0]),
+        &render_report(&parallel.reports[0]),
+    );
+    let (serial_profile, parallel_profile) = (&serial.profiles[0], &parallel.profiles[0]);
+    if !serial_profile
+        .iter_query()
+        .eq(parallel_profile.iter_query())
+        || !serial_profile.iter_ddl().eq(parallel_profile.iter_ddl())
+    {
+        eprintln!("FAIL: {what} learned different profiles");
         std::process::exit(1);
     }
     println!(
-        "partitioned({dialect}): serial {serial_s:.3}s, {} workers {parallel_s:.3}s \
+        "partitioned({dialect}): serial {serial_s:.3}s, {workers} workers {parallel_s:.3}s \
          (x{:.2}), reports byte-identical",
-        threads.max(2),
         serial_s / parallel_s
     );
-    // The speedup assertion arms only on machines with real parallelism
-    // (this development container reports 1 CPU); the identity check
-    // above always runs. The bound is deliberately loose — sharding must
-    // not make the campaign slower, demonstrating scaling is the wider
-    // machine's job.
+    // The speedup assertion arms only on machines with real parallelism;
+    // the identity check above always runs. The bound is deliberately
+    // loose — sharding must not make the campaign slower, demonstrating
+    // scaling is the wider machine's job.
     if threads > 1 && parallel_s > serial_s * 1.10 {
         eprintln!(
             "FAIL: partitioned campaign slower with {threads} workers \
@@ -455,6 +457,15 @@ fn storm_preset(dialect: &str, faults: FaultyConfig) -> DialectPreset {
 fn run_storm(dialect: &str, faults: FaultyConfig) -> CampaignReport {
     let mut conn = storm_preset(dialect, faults).instantiate_for_path(ExecutionPath::Ast);
     Campaign::new(storm_campaign_config()).run_supervised(&mut conn, &SupervisorConfig::default())
+}
+
+/// Fails the gate when `actual` differs from `expected`, naming the first
+/// diverging line of the two renderings.
+fn fail_on_divergence(what: &str, expected: &str, actual: &str) {
+    if let Some(divergence) = first_divergence(expected, actual) {
+        eprintln!("FAIL: {what} diverged: {divergence}");
+        std::process::exit(1);
+    }
 }
 
 /// Counts bug reports whose description carries the infrastructure marker —
@@ -545,15 +556,27 @@ fn fault_storm_check(dialect: &str) -> ! {
     let resumed =
         Campaign::new(storm_campaign_config()).resume(&mut conn, &checkpointing, checkpoint);
     let _ = std::fs::remove_file(&scratch);
-    if render_report(&resumed) != reference {
-        eprintln!("FAIL: serial kill-at-37 resume diverged from the uninterrupted storm run");
-        std::process::exit(1);
-    }
+    fail_on_divergence(
+        "serial kill-at-37 resume (against the uninterrupted storm run)",
+        &reference,
+        &render_report(&resumed),
+    );
     for threads in [1usize, available_threads().max(2)] {
-        let preset = storm_preset(dialect, FaultyConfig::storm());
         let mut config = storm_campaign_config();
         config.databases = 3;
-        let uninterrupted = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, threads);
+        let storm_run = |supervision: &SupervisorConfig| {
+            let outcome = CampaignRun {
+                workers: threads,
+                supervision: supervision.clone(),
+                ..CampaignRun::sharded(
+                    storm_preset(dialect, FaultyConfig::storm()).driver(ExecutionPath::Ast),
+                    config.clone(),
+                )
+            }
+            .run();
+            render_report(&outcome.reports[0])
+        };
+        let uninterrupted = storm_run(&SupervisorConfig::default());
         let base = std::env::temp_dir().join(format!(
             "sqlancerpp_fault_storm_part_{}_{dialect}_{threads}",
             std::process::id()
@@ -573,28 +596,17 @@ fn fault_storm_check(dialect: &str) -> ! {
             stop_after_cases: Some(21),
             ..part_checkpointing.clone()
         };
-        let _ = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &part_killed,
-        );
-        let resumed = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &part_checkpointing,
-        );
+        let _ = storm_run(&part_killed);
+        let resumed = storm_run(&part_checkpointing);
         cleanup(&base);
-        if render_report(&resumed.report) != render_report(&uninterrupted.report) {
-            eprintln!(
-                "FAIL: {threads}-worker partitioned kill-at-21 resume diverged from the \
-                 uninterrupted storm run"
-            );
-            std::process::exit(1);
-        }
+        fail_on_divergence(
+            &format!(
+                "{threads}-worker partitioned kill-at-21 resume (against the uninterrupted \
+                 storm run)"
+            ),
+            &uninterrupted,
+            &resumed,
+        );
     }
     println!(
         "fault-storm({dialect}): {} cases, {} incidents ({} retries, {} watchdog trips), \
@@ -746,21 +758,34 @@ fn trace_check(dialect: &str) -> ! {
     let mut config = trace_campaign_config(120);
     config.databases = 3;
     let storm = storm_preset(dialect, FaultyConfig::storm());
-    let driver = storm.driver(ExecutionPath::Ast);
-    let supervision = SupervisorConfig::default();
-    let (serial, serial_summary) =
-        run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
     let workers = available_threads().max(2);
-    let (sharded, sharded_summary) =
-        run_campaign_partitioned_traced(&driver, &config, workers, 2, &supervision);
-    if render_report(&serial.report) != render_report(&sharded.report) {
-        eprintln!("FAIL: storm campaign report diverged between (1 worker, pool 1) and ({workers} workers, pool 2)");
-        std::process::exit(1);
-    }
-    if render_trace_summary(&serial_summary) != render_trace_summary(&sharded_summary) {
-        eprintln!("FAIL: merged trace summary diverged between (1 worker, pool 1) and ({workers} workers, pool 2)");
-        std::process::exit(1);
-    }
+    let traced_sharded = |workers, pool_size| {
+        let outcome = CampaignRun {
+            workers,
+            pool_size,
+            trace: true,
+            ..CampaignRun::sharded(storm.driver(ExecutionPath::Ast), config.clone())
+        }
+        .run();
+        let summary = outcome.trace.expect("a traced run yields a summary");
+        (
+            render_report(&outcome.reports[0]),
+            render_trace_summary(&summary),
+        )
+    };
+    let (serial_report, serial_summary) = traced_sharded(1, 1);
+    let (sharded_report, sharded_summary) = traced_sharded(workers, 2);
+    let cells = format!("between (1 worker, pool 1) and ({workers} workers, pool 2)");
+    fail_on_divergence(
+        &format!("storm campaign report {cells}"),
+        &serial_report,
+        &sharded_report,
+    );
+    fail_on_divergence(
+        &format!("merged trace summary {cells}"),
+        &serial_summary,
+        &sharded_summary,
+    );
 
     // 3: every detected bug in the storm run keeps a complete pinned
     // history, and the JSONL flight-recorder dump self-validates.
@@ -960,13 +985,19 @@ fn coverage_check(dialect: &str) -> ! {
     let mut config = coverage_campaign_config(60, true, false);
     config.databases = 3;
     let storm = storm_preset(dialect, FaultyConfig::storm());
-    let supervision = SupervisorConfig::default();
     let workers = available_threads().max(2);
     let mut rendered = Vec::new();
     for path in [ExecutionPath::Ast, ExecutionPath::Text] {
-        let driver = storm.driver(path);
-        let reference = run_campaign_partitioned_pooled(&driver, &config, 1, 1, &supervision);
-        let baseline = render_atlas_report(&reference.report);
+        let atlas = |workers, pool_size| {
+            let outcome = CampaignRun {
+                workers,
+                pool_size,
+                ..CampaignRun::sharded(storm.driver(path), config.clone())
+            }
+            .run();
+            render_atlas_report(&outcome.reports[0])
+        };
+        let baseline = atlas(1, 1);
         for section in ["oracle TLP", "saturation novel", "engine "] {
             if !baseline.contains(section) {
                 eprintln!("FAIL: rendered atlas is missing its \"{section}\" section:\n{baseline}");
@@ -974,21 +1005,19 @@ fn coverage_check(dialect: &str) -> ! {
             }
         }
         for (threads, pool_size) in [(1usize, 2usize), (workers, 1), (workers, 2), (workers, 4)] {
-            let run =
-                run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
-            if render_atlas_report(&run.report) != baseline {
-                eprintln!(
-                    "FAIL: {path:?} atlas diverged at {threads} workers, pool size {pool_size}"
-                );
-                std::process::exit(1);
-            }
+            fail_on_divergence(
+                &format!("{path:?} atlas at {threads} workers, pool size {pool_size}"),
+                &baseline,
+                &atlas(threads, pool_size),
+            );
         }
         rendered.push(baseline);
     }
-    if rendered[0] != rendered[1] {
-        eprintln!("FAIL: AST and text execution paths rendered different atlases");
-        std::process::exit(1);
-    }
+    fail_on_divergence(
+        "text-path atlas (against the AST path)",
+        &rendered[0],
+        &rendered[1],
+    );
 
     // 2+3: the accounting keeps the committed fraction of the baseline's
     // throughput, and directed mode reaches at least uniform coverage at
@@ -1094,7 +1123,6 @@ impl FlakyOverhead {
 
 fn measure_flaky(dialect: &str) -> FlakyOverhead {
     let config = flaky_campaign_config();
-    let supervision = SupervisorConfig::default();
     let healthy_driver = preset_by_name(dialect)
         .unwrap_or_else(|| {
             eprintln!("unknown dialect {dialect}");
@@ -1102,17 +1130,21 @@ fn measure_flaky(dialect: &str) -> FlakyOverhead {
         })
         .driver(ExecutionPath::Ast);
     let flaky_driver = storm_preset(dialect, FaultyConfig::flaky()).driver(ExecutionPath::Ast);
+    let pooled = |driver: &Arc<dyn Driver>| CampaignRun {
+        pool_size: 2,
+        ..CampaignRun::sharded(Arc::clone(driver), config.clone())
+    };
     let mut healthy_s = f64::INFINITY;
     let mut flaky_s = f64::INFINITY;
     let mut flaky_report = None;
     for _ in 0..3 {
         let start = Instant::now();
-        let _ = run_campaign_partitioned_pooled(&healthy_driver, &config, 1, 2, &supervision);
+        let _ = pooled(&healthy_driver).run();
         healthy_s = healthy_s.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        let run = run_campaign_partitioned_pooled(&flaky_driver, &config, 1, 2, &supervision);
+        let mut run = pooled(&flaky_driver).run();
         flaky_s = flaky_s.min(start.elapsed().as_secs_f64());
-        flaky_report = Some(run.report);
+        flaky_report = Some(run.reports.remove(0));
     }
     FlakyOverhead {
         healthy_s,
@@ -1142,12 +1174,23 @@ fn measure_flaky(dialect: &str) -> FlakyOverhead {
 fn flaky_check(dialect: &str) -> ! {
     silence_infra_panics();
     let config = flaky_campaign_config();
-    let supervision = SupervisorConfig::default();
     let workers = available_threads().max(2);
+    let flaky_run = |path, workers, pool_size| {
+        CampaignRun {
+            workers,
+            pool_size,
+            ..CampaignRun::sharded(
+                storm_preset(dialect, FaultyConfig::flaky()).driver(path),
+                config.clone(),
+            )
+        }
+        .run()
+        .reports
+        .remove(0)
+    };
 
     // 1+2: the reference run completes clean with full attribution.
-    let driver = storm_preset(dialect, FaultyConfig::flaky()).driver(ExecutionPath::Ast);
-    let reference = run_campaign_partitioned_pooled(&driver, &config, 1, 1, &supervision).report;
+    let reference = flaky_run(ExecutionPath::Ast, 1, 1);
     if reference.metrics.test_cases == 0 {
         eprintln!("FAIL: flaky campaign ran no test cases");
         std::process::exit(1);
@@ -1212,10 +1255,7 @@ fn flaky_check(dialect: &str) -> ! {
     // 3: report byte-identity across pools x workers x paths.
     let mut rendered = Vec::new();
     for path in [ExecutionPath::Ast, ExecutionPath::Text] {
-        let driver = storm_preset(dialect, FaultyConfig::flaky()).driver(path);
-        let baseline = render_report(
-            &run_campaign_partitioned_pooled(&driver, &config, 1, 1, &supervision).report,
-        );
+        let baseline = render_report(&flaky_run(path, 1, 1));
         for (threads, pool_size) in [
             (1usize, 2usize),
             (1, 4),
@@ -1223,21 +1263,19 @@ fn flaky_check(dialect: &str) -> ! {
             (workers, 2),
             (workers, 4),
         ] {
-            let run =
-                run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
-            if render_report(&run.report) != baseline {
-                eprintln!(
-                    "FAIL: {path:?} flaky report diverged at {threads} workers, pool size {pool_size}"
-                );
-                std::process::exit(1);
-            }
+            fail_on_divergence(
+                &format!("{path:?} flaky report at {threads} workers, pool size {pool_size}"),
+                &baseline,
+                &render_report(&flaky_run(path, threads, pool_size)),
+            );
         }
         rendered.push(baseline);
     }
-    if rendered[0] != rendered[1] {
-        eprintln!("FAIL: AST and text execution paths rendered different flaky reports");
-        std::process::exit(1);
-    }
+    fail_on_divergence(
+        "text-path flaky report (against the AST path)",
+        &rendered[0],
+        &rendered[1],
+    );
 
     // 4: the self-healing machinery keeps the committed fraction of the
     // healthy campaign's throughput.
@@ -1571,7 +1609,7 @@ fn main() {
     let mut warm = dispatch.clone();
     warm.databases = 1;
     warm.queries_per_database = 5;
-    let _ = run_fleet_serial(&fleet(), &warm, ExecutionPath::Ast);
+    let _ = CampaignRun::fleet(fleet_drivers(ExecutionPath::Ast), warm).run();
 
     let dispatch_arms = run_arms(
         &dispatch,
@@ -1672,7 +1710,11 @@ fn main() {
     );
 
     let par_start = Instant::now();
-    let par_report = run_fleet_parallel(&fleet(), &eval, ExecutionPath::Ast, threads);
+    let par_report = CampaignRun {
+        workers: threads,
+        ..CampaignRun::fleet(fleet_drivers(ExecutionPath::Ast), eval.clone())
+    }
+    .run();
     let par_elapsed = par_start.elapsed().as_secs_f64();
 
     // Consistency checks: arms sharing a workload must have run the same

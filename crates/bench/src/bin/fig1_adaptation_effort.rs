@@ -22,9 +22,7 @@ fn main() {
     for preset in fleet() {
         let handwritten = preset.profile.supported_universe().len();
         // Connection parameters (host, port, user, password) plus quirks.
-        let adaptation = 4
-            + usize::from(preset.profile.requires_refresh)
-            + usize::from(preset.profile.requires_commit);
+        let adaptation = 4 + usize::from(preset.profile.requires_refresh);
         handwritten_total += handwritten;
         adaptive_total += adaptation;
         println!(

@@ -75,9 +75,6 @@ pub struct DialectQuirks {
     /// The DBMS requires an explicit `REFRESH TABLE <t>` before inserted
     /// rows become visible to queries (CrateDB-style eventual consistency).
     pub requires_refresh: bool,
-    /// The DBMS requires an explicit `COMMIT` after DML (JDBC-autocommit-off
-    /// style).
-    pub requires_commit: bool,
 }
 
 /// Storage-versioning effectiveness counters a backend may expose:

@@ -74,8 +74,6 @@ pub struct Capability {
     pub storage_metrics: bool,
     /// Dialect quirk: reads only see writes after `REFRESH TABLE`.
     pub requires_refresh: bool,
-    /// Dialect quirk: autocommit is off; setup writes need `COMMIT`.
-    pub requires_commit: bool,
 }
 
 impl Default for Capability {
@@ -90,7 +88,6 @@ impl Default for Capability {
             state_checkpoints: true,
             storage_metrics: true,
             requires_refresh: false,
-            requires_commit: false,
         }
     }
 }
@@ -109,7 +106,6 @@ impl Capability {
             state_checkpoints: false,
             storage_metrics: false,
             requires_refresh: false,
-            requires_commit: false,
         }
     }
 
@@ -157,17 +153,10 @@ impl Capability {
         self
     }
 
-    /// Returns the capability with the explicit-`COMMIT` quirk set.
-    pub fn with_requires_commit(mut self, requires_commit: bool) -> Capability {
-        self.requires_commit = requires_commit;
-        self
-    }
-
     /// The dialect quirks implied by this capability report.
     pub fn quirks(&self) -> DialectQuirks {
         DialectQuirks {
             requires_refresh: self.requires_refresh,
-            requires_commit: self.requires_commit,
         }
     }
 
@@ -1140,11 +1129,9 @@ mod tests {
     fn capability_quirks_round_trip() {
         let cap = Capability {
             requires_refresh: true,
-            requires_commit: true,
             ..Capability::default()
         };
-        let quirks = cap.quirks();
-        assert!(quirks.requires_refresh && quirks.requires_commit);
+        assert!(cap.quirks().requires_refresh);
     }
 
     /// A scriptable backend for pool tests: accepts everything, except that

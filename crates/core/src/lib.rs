@@ -76,8 +76,8 @@ pub use prioritizer::{BugPrioritizer, PrioritizerStats, PriorityDecision};
 pub use profile::{load_profile, profile_from_string, profile_to_string, save_profile};
 pub use reducer::{BugReducer, ReducibleCase, ReductionStats, ScheduleCase, TxnCase};
 pub use resume::{
-    checkpoint_from_string, checkpoint_to_string, load_checkpoint, render_report, save_checkpoint,
-    CampaignCheckpoint,
+    checkpoint_from_string, checkpoint_to_string, first_divergence, load_checkpoint, render_report,
+    save_checkpoint, CampaignCheckpoint,
 };
 pub use schema::{ModelColumn, ModelIndex, ModelTable, SchemaModel};
 pub use stats::{

@@ -1110,9 +1110,54 @@ pub fn render_report(report: &CampaignReport) -> String {
     out
 }
 
+/// Locates the first line where two renderings (of [`render_report`] or
+/// any other canonical text form) differ: `None` when they are identical,
+/// otherwise the 1-based line number with both lines. A text that ends
+/// early shows as `<end of text>` on its side, so a rendering that is a
+/// strict prefix of the other is reported at its first missing line.
+pub fn first_divergence(expected: &str, actual: &str) -> Option<String> {
+    let mut expected_lines = expected.lines();
+    let mut actual_lines = actual.lines();
+    for number in 1.. {
+        match (expected_lines.next(), actual_lines.next()) {
+            (None, None) => break,
+            (left, right) if left == right => {}
+            (left, right) => {
+                let show =
+                    |line: Option<&str>| line.map_or("<end of text>".into(), |l| format!("`{l}`"));
+                return Some(format!(
+                    "line {number}: expected {}, actual {}",
+                    show(left),
+                    show(right)
+                ));
+            }
+        }
+    }
+    // Line-equal texts can still differ in line endings.
+    (expected != actual).then(|| "texts differ only in their line endings".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_divergence_names_the_first_differing_line() {
+        assert_eq!(first_divergence("a\nb\n", "a\nb\n"), None);
+        assert_eq!(
+            first_divergence("a\nb\nc\n", "a\nx\nc\n").as_deref(),
+            Some("line 2: expected `b`, actual `x`")
+        );
+        assert_eq!(
+            first_divergence("a\nb\n", "a\n").as_deref(),
+            Some("line 2: expected `b`, actual <end of text>")
+        );
+        assert_eq!(
+            first_divergence("a", "a\nextra").as_deref(),
+            Some("line 2: expected <end of text>, actual `extra`")
+        );
+        assert!(first_divergence("a", "a\n").is_some());
+    }
     use sql_ast::SelectItem;
 
     fn feature_set(names: &[&str]) -> FeatureSet {

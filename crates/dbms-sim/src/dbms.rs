@@ -363,7 +363,6 @@ impl DbmsConnection for SimulatedSession {
     fn quirks(&self) -> DialectQuirks {
         DialectQuirks {
             requires_refresh: self.profile.requires_refresh,
-            requires_commit: self.profile.requires_commit,
         }
     }
 }
@@ -444,7 +443,6 @@ impl DbmsConnection for SimulatedDbms {
     fn quirks(&self) -> DialectQuirks {
         DialectQuirks {
             requires_refresh: self.profile.requires_refresh,
-            requires_commit: self.profile.requires_commit,
         }
     }
 

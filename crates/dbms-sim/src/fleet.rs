@@ -67,8 +67,8 @@ impl DialectPreset {
     }
 
     /// Instantiates a fresh connection configured for the given execution
-    /// path — the shared setup of the serial, fleet-parallel and
-    /// within-dialect partitioned campaign runners. When the preset arms
+    /// path — what [`DialectPreset::driver`] connects to, and what
+    /// single-connection campaigns run against. When the preset arms
     /// infrastructure faults, the connection is wrapped in a
     /// [`FaultyConnection`] (outermost, so faults hit the text and AST
     /// paths alike).
@@ -114,7 +114,6 @@ impl DialectPreset {
             )
             .with_ast_statements(path != ExecutionPath::Text)
             .with_requires_refresh(self.profile.requires_refresh)
-            .with_requires_commit(self.profile.requires_commit)
     }
 
     /// Re-exposes the preset through the platform's [`Driver`] interface:
@@ -151,8 +150,8 @@ impl Driver for SimDriver {
     }
 }
 
-/// The whole fleet as drivers, in fleet order — the fleet runners'
-/// native input.
+/// The whole fleet as drivers, in fleet order — the input of
+/// [`CampaignRun::fleet`](crate::CampaignRun::fleet).
 pub fn fleet_drivers(path: ExecutionPath) -> Vec<Arc<dyn Driver>> {
     fleet().iter().map(|preset| preset.driver(path)).collect()
 }

@@ -13,7 +13,9 @@
 //!   unique-bug counting;
 //! * [`SimulatedDbms`] — a [`sqlancer_core::DbmsConnection`] implementation
 //!   combining a profile, the engine and a set of injected bugs;
-//! * [`fleet`] — 18 named presets mirroring Table 2 of the paper.
+//! * [`fleet`] — 18 named presets mirroring Table 2 of the paper;
+//! * [`CampaignRun`] — the one way to run a campaign over the fleet (one
+//!   campaign per driver) or over one driver sharded by database.
 //!
 //! # Examples
 //!
@@ -48,8 +50,5 @@ pub use profile::{
 };
 pub use runner::{
     available_threads, derive_dialect_seed, derive_shard_seed, observed_infra_kinds,
-    run_campaign_partitioned, run_campaign_partitioned_pooled, run_campaign_partitioned_supervised,
-    run_campaign_partitioned_traced, run_fleet_parallel, run_fleet_parallel_drivers,
-    run_fleet_serial, run_fleet_serial_drivers, run_one_driver, shard_checkpoint_path,
-    ExecutionPath, FleetReport, PartitionedCampaign,
+    shard_checkpoint_path, CampaignRun, ExecutionPath, RunOutcome, RunTarget,
 };

@@ -25,8 +25,6 @@ pub struct DialectProfile {
     pub unsupported: BTreeSet<String>,
     /// Inserted rows are only visible after `REFRESH TABLE` (CrateDB-like).
     pub requires_refresh: bool,
-    /// DML must be followed by `COMMIT` (autocommit-off JDBC style).
-    pub requires_commit: bool,
 }
 
 impl DialectProfile {
@@ -38,7 +36,6 @@ impl DialectProfile {
             typing,
             unsupported: BTreeSet::new(),
             requires_refresh: false,
-            requires_commit: false,
         }
     }
 

@@ -1,16 +1,15 @@
-//! The fleet campaign runner: one campaign per dialect, serial or sharded
-//! across threads.
+//! The campaign runner: one [`CampaignRun`] spec, one guarded job
+//! scheduler.
 //!
 //! The paper's platform tests 18 DBMSs; at fleet scale the campaigns are
-//! embarrassingly parallel — each dialect gets its own connection, its own
-//! adaptive generator and its own prioritizer. The runner derives a
-//! deterministic per-dialect seed from the campaign seed, so
+//! embarrassingly parallel — each dialect gets its own connection pool,
+//! its own adaptive generator and its own prioritizer — and one dialect's
+//! campaign shards the same way by database. Both shapes are a list of
+//! independent jobs with seeds derived from the campaign seed, so
 //!
-//! * serial and parallel runs produce **identical** per-dialect reports
+//! * any worker count and any pool size produce **identical** reports
 //!   (verdicts, metrics and bug reports, byte for byte), and
 //! * adding or removing dialects never perturbs the seeds of the others.
-
-use crate::fleet::DialectPreset;
 use sqlancer_core::driver::{Driver, Pool};
 use sqlancer_core::stats::FeatureStats;
 use sqlancer_core::supervisor::panic_message;
@@ -45,19 +44,6 @@ pub enum ExecutionPath {
     Text,
 }
 
-/// The result of a fleet campaign: per-dialect reports in stable fleet
-/// order plus fleet-wide metric totals.
-#[derive(Debug, Clone, Default)]
-pub struct FleetReport {
-    /// One report per dialect, in the order the presets were given.
-    pub reports: Vec<CampaignReport>,
-    /// Sum of all per-dialect metrics.
-    pub totals: CampaignMetrics,
-    /// Sum of all per-dialect robustness counters (retries, watchdog trips,
-    /// quarantines, incidents, ...).
-    pub robustness: RobustnessCounters,
-}
-
 /// Derives the seed for one dialect's campaign from the fleet campaign
 /// seed. FNV-1a over the dialect name, mixed with the campaign seed through
 /// SplitMix64 finalisation — deterministic, order-independent and stable
@@ -68,170 +54,12 @@ pub fn derive_dialect_seed(campaign_seed: u64, dialect: &str) -> u64 {
     sql_ast::mix_seed(campaign_seed, dialect)
 }
 
-/// Runs one dialect's campaign with its derived seed over the given
-/// execution path.
-/// Runs one backend's campaign through the Driver/Pool connection layer:
-/// per-backend seed derivation, a fixed-size pool with seed-ordered
-/// checkout, and the driver's capability report applied to the generator.
-/// Reports are byte-identical for any `pool_size`.
-pub fn run_one_driver(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    pool_size: usize,
-) -> CampaignReport {
-    let mut config = base.clone();
-    config.seed = derive_dialect_seed(base.seed, driver.name());
-    let mut campaign = Campaign::new(config);
-    let mut pool = Pool::new(Arc::clone(driver), pool_size)
-        .unwrap_or_else(|err| panic!("pool for {} failed to connect: {err}", driver.name()));
-    campaign.run_pooled(&mut pool, &SupervisorConfig::default())
-}
-
-fn merge(reports: Vec<CampaignReport>) -> FleetReport {
-    let mut totals = CampaignMetrics::default();
-    let mut robustness = RobustnessCounters::default();
-    for report in &reports {
-        totals.merge(&report.metrics);
-        robustness.merge(&report.robustness);
-    }
-    FleetReport {
-        reports,
-        totals,
-        robustness,
-    }
-}
-
-/// The degraded placeholder report for a dialect whose worker thread died
-/// outside the supervisor's reach. The fleet keeps its slot (reports stay
-/// index-aligned with the presets) and the loss is visible as a
-/// [`IncidentKind::WorkerPanic`] incident instead of a crashed run.
-fn worker_panic_report(dialect: &str, detail: String) -> CampaignReport {
-    let mut report = CampaignReport {
-        dbms_name: dialect.to_string(),
-        ..CampaignReport::default()
-    };
-    report.degraded = true;
-    report.robustness.incidents = 1;
-    report.robustness.recovered_workers = 1;
-    report.incidents.push(CampaignIncident {
-        kind: IncidentKind::WorkerPanic,
-        database: 0,
-        case_index: 0,
-        attempt: 0,
-        deadline_ticks: 0,
-        observed_ticks: 0,
-        detail,
-    });
-    report
-}
-
-/// Runs the fleet serially, one campaign per preset, in preset order.
-pub fn run_fleet_serial(
-    presets: &[DialectPreset],
-    base: &CampaignConfig,
-    path: ExecutionPath,
-) -> FleetReport {
-    run_fleet_serial_drivers(&presets_to_drivers(presets, path), base, 1)
-}
-
-/// The presets re-exposed through the [`Driver`] interface, in order.
-fn presets_to_drivers(presets: &[DialectPreset], path: ExecutionPath) -> Vec<Arc<dyn Driver>> {
-    presets.iter().map(|preset| preset.driver(path)).collect()
-}
-
-/// Runs a fleet of drivers serially, one pooled campaign per driver, in
-/// driver order.
-pub fn run_fleet_serial_drivers(
-    drivers: &[Arc<dyn Driver>],
-    base: &CampaignConfig,
-    pool_size: usize,
-) -> FleetReport {
-    merge(
-        drivers
-            .iter()
-            .map(|driver| run_one_driver(driver, base, pool_size))
-            .collect(),
-    )
-}
-
-/// Runs the fleet sharded across `threads` scoped worker threads.
-///
-/// Workers claim dialects from a shared counter; each worker instantiates
-/// its own simulated DBMS, so no connection state crosses threads. Results
-/// are written back by dialect index, making the output — reports, bug
-/// lists and totals — byte-identical to [`run_fleet_serial`] with the same
-/// seed, regardless of scheduling.
-///
-/// Worker panics are contained: a dialect whose campaign escapes the
-/// supervisor's `catch_unwind` (or whose worker dies before writing its
-/// slot) is recorded as a degraded [`worker_panic_report`] instead of
-/// taking the whole fleet down, and a poisoned result slot is recovered
-/// rather than propagated — the poisoning worker already produced the
-/// panic report, so the slot value (set or not) is still trustworthy.
-pub fn run_fleet_parallel(
-    presets: &[DialectPreset],
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-) -> FleetReport {
-    run_fleet_parallel_drivers(&presets_to_drivers(presets, path), base, 1, threads)
-}
-
-/// [`run_fleet_parallel`] over a fleet of drivers: workers claim drivers
-/// from a shared counter and each runs a pooled campaign. Output is
-/// byte-identical to [`run_fleet_serial_drivers`] with the same seed and
-/// pool size, regardless of scheduling.
-pub fn run_fleet_parallel_drivers(
-    drivers: &[Arc<dyn Driver>],
-    base: &CampaignConfig,
-    pool_size: usize,
-    threads: usize,
-) -> FleetReport {
-    // The explicit caller-provided count is honoured (oversubscription is
-    // harmless and keeps the parallel path exercised even on 1-CPU
-    // machines); only bound it by the number of dialects.
-    let threads = threads.max(1).min(drivers.len().max(1));
-    if threads <= 1 || drivers.len() <= 1 {
-        return run_fleet_serial_drivers(drivers, base, pool_size);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CampaignReport>>> =
-        drivers.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(driver) = drivers.get(index) else {
-                    break;
-                };
-                let report =
-                    catch_unwind(AssertUnwindSafe(|| run_one_driver(driver, base, pool_size)))
-                        .unwrap_or_else(|payload| {
-                            worker_panic_report(
-                                driver.name(),
-                                format!("campaign worker panicked: {}", panic_message(&*payload)),
-                            )
-                        });
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-            });
-        }
-    });
-    merge(
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        // The claiming worker died before writing the slot
-                        // (a panic outside the catch above, e.g. in the
-                        // slot machinery itself): run the dialect inline.
-                        run_one_driver(&drivers[index], base, pool_size)
-                    })
-            })
-            .collect(),
-    )
+/// Derives the generator seed for one database shard of a sharded
+/// campaign. Like [`derive_dialect_seed`], but over the shard index, so
+/// every database's generator stream is independent of how many shards run
+/// and on which worker.
+pub fn derive_shard_seed(campaign_seed: u64, database_index: usize) -> u64 {
+    sql_ast::splitmix64(campaign_seed ^ sql_ast::fnv1a64(&database_index.to_le_bytes()))
 }
 
 /// The number of worker threads to use by default: the machine's available
@@ -242,59 +70,8 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-// ------------------------------------------------ within-dialect sharding ----
-
-/// The result of a partitioned single-dialect campaign: the merged report
-/// plus the learned profile folded together in database order.
-#[derive(Debug, Clone)]
-pub struct PartitionedCampaign {
-    /// The merged campaign report (metrics summed, bug reports deduplicated
-    /// across shards in database order).
-    pub report: CampaignReport,
-    /// The validity-feedback profile, merged shard by shard in database
-    /// order ([`FeatureStats::merge`]).
-    pub profile: FeatureStats,
-}
-
-/// Derives the generator seed for one database shard of a partitioned
-/// campaign. Like [`derive_dialect_seed`], but over the shard index, so
-/// every database's generator stream is independent of how many shards run
-/// and on which worker.
-pub fn derive_shard_seed(campaign_seed: u64, database_index: usize) -> u64 {
-    sql_ast::splitmix64(campaign_seed ^ sql_ast::fnv1a64(&database_index.to_le_bytes()))
-}
-
-/// Runs one dialect's campaign **sharded by database** across `threads`
-/// scoped workers and merges the results in database order.
-///
-/// Each of the configured `databases` becomes an independent
-/// single-database campaign: its generator is seeded by
-/// [`derive_shard_seed`] and starts from the base configuration (no state
-/// chains from earlier databases, which is what makes the shards
-/// embarrassingly parallel — the cheap `Engine::clone`/setup path keeps
-/// per-shard instantiation negligible). Workers claim shards from a shared
-/// counter; results are merged **in database order**:
-///
-/// * metrics sum; the validity series concatenates shard series in order;
-/// * bug reports are re-prioritized by a merge-time [`BugPrioritizer`]
-///   walking the shards in order, so duplicates across shards are dropped
-///   exactly as a serial pass over the same stream would drop them (the
-///   `prioritized + deduplicated = detected` invariant holds);
-/// * learned profiles fold with [`FeatureStats::merge`].
-///
-/// The output is byte-identical for any `threads`, including 1 — the
-/// serial reference is this same function with one worker.
-pub fn run_campaign_partitioned(
-    preset: &DialectPreset,
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-) -> PartitionedCampaign {
-    run_campaign_partitioned_supervised(preset, base, path, threads, &SupervisorConfig::default())
-}
-
-/// The per-shard checkpoint file for a partitioned campaign: the campaign's
-/// checkpoint path with a `.shard<index>` suffix appended, so shards never
+/// The per-job checkpoint file of a campaign run: the campaign's
+/// checkpoint path with a `.shard<index>` suffix appended, so jobs never
 /// clobber each other's resume state.
 pub fn shard_checkpoint_path(base: &Path, index: usize) -> PathBuf {
     let mut name = base.as_os_str().to_os_string();
@@ -302,184 +79,264 @@ pub fn shard_checkpoint_path(base: &Path, index: usize) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Loads the checkpoint a supervised campaign should resume from, if any:
-/// the supervision config names a checkpoint path, the file loads, and the
-/// recorded seed matches the campaign seed. A stale or foreign checkpoint
-/// (different seed) is ignored rather than trusted — the shard simply runs
-/// fresh and overwrites it at the next cadence tick.
+/// What a [`CampaignRun`] tests.
+pub enum RunTarget {
+    /// One campaign per driver over all configured databases, seeded by
+    /// [`derive_dialect_seed`] over the driver's name; the outcome holds
+    /// one report per driver, in driver order.
+    Fleet(Vec<Arc<dyn Driver>>),
+    /// One driver's campaign sharded by database: every database is an
+    /// independent single-database campaign seeded by
+    /// [`derive_shard_seed`], and the shards merge in database order into
+    /// a single report.
+    Sharded(Arc<dyn Driver>),
+}
+
+/// The one way to run a campaign: what to test, how, and on how many
+/// threads. Build it with [`CampaignRun::fleet`] or
+/// [`CampaignRun::sharded`], override fields with struct-update syntax,
+/// and execute it with [`CampaignRun::run`].
+///
+/// Every campaign runs as a set of *jobs* — one per driver for a fleet,
+/// one per database for a sharded run — through a single scheduler:
+/// workers claim jobs from a shared counter and write results back by job
+/// index, so the outcome is byte-identical (under
+/// [`sqlancer_core::render_report`]) for any `workers` and any
+/// `pool_size`.
+pub struct CampaignRun {
+    /// The drivers under test.
+    pub target: RunTarget,
+    /// The campaign configuration; each job derives its own seed from
+    /// `config.seed`.
+    pub config: CampaignConfig,
+    /// Connections per job's [`Pool`] (seed-ordered checkout; a throughput
+    /// knob, never an observable).
+    pub pool_size: usize,
+    /// Scoped worker threads claiming jobs.
+    pub workers: usize,
+    /// The supervision policy of every job. A checkpoint path is suffixed
+    /// per job ([`shard_checkpoint_path`]), and a job whose checkpoint file
+    /// exists with a matching seed resumes from it.
+    pub supervision: SupervisorConfig,
+    /// Collect a deterministic [`TraceSummary`]: every job runs with its
+    /// own [`Tracer`] and the job summaries fold into
+    /// [`RunOutcome::trace`].
+    pub trace: bool,
+}
+
+/// The result of a [`CampaignRun`].
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// One report per driver for a fleet run (driver order); the single
+    /// merged report for a sharded run.
+    pub reports: Vec<CampaignReport>,
+    /// The learned validity-feedback profile behind `reports[i]` (a
+    /// sharded run folds its shard profiles in database order).
+    pub profiles: Vec<FeatureStats>,
+    /// Sum of all reports' metrics.
+    pub totals: CampaignMetrics,
+    /// Sum of all reports' robustness counters (retries, watchdog trips,
+    /// quarantines, incidents, ...).
+    pub robustness: RobustnessCounters,
+    /// The merged trace summary when the run was traced.
+    pub trace: Option<TraceSummary>,
+}
+
+/// One scheduled unit of work: a campaign of `databases` databases against
+/// `driver`, seeded with `seed`. `index` is the job's slot in the outcome
+/// order and names its checkpoint file.
+struct Job<'a> {
+    driver: &'a Arc<dyn Driver>,
+    seed: u64,
+    databases: usize,
+    index: usize,
+}
+
+/// What one job yields: its report, learned profile and trace summary
+/// (empty when untraced).
+type JobResult = (CampaignReport, FeatureStats, TraceSummary);
+
+impl CampaignRun {
+    /// A fleet run with one pooled connection per driver, one worker,
+    /// default supervision and no tracing.
+    pub fn fleet(drivers: Vec<Arc<dyn Driver>>, config: CampaignConfig) -> CampaignRun {
+        CampaignRun::new(RunTarget::Fleet(drivers), config)
+    }
+
+    /// A database-sharded run of one driver with the same defaults as
+    /// [`CampaignRun::fleet`].
+    pub fn sharded(driver: Arc<dyn Driver>, config: CampaignConfig) -> CampaignRun {
+        CampaignRun::new(RunTarget::Sharded(driver), config)
+    }
+
+    fn new(target: RunTarget, config: CampaignConfig) -> CampaignRun {
+        CampaignRun {
+            target,
+            config,
+            pool_size: 1,
+            workers: 1,
+            supervision: SupervisorConfig::default(),
+            trace: false,
+        }
+    }
+
+    /// Runs every job and assembles the outcome.
+    ///
+    /// A sharded run merges its shards in database order: metrics sum, the
+    /// validity series concatenates, and bug reports are re-prioritized by
+    /// a merge-time [`BugPrioritizer`] walking the shards in order, so
+    /// duplicates across shards drop exactly as a serial pass over the
+    /// same stream would drop them (`prioritized + deduplicated =
+    /// detected` holds).
+    pub fn run(&self) -> RunOutcome {
+        let jobs: Vec<Job> = match &self.target {
+            RunTarget::Fleet(drivers) => drivers
+                .iter()
+                .enumerate()
+                .map(|(index, driver)| Job {
+                    driver,
+                    seed: derive_dialect_seed(self.config.seed, driver.name()),
+                    databases: self.config.databases,
+                    index,
+                })
+                .collect(),
+            RunTarget::Sharded(driver) => (0..self.config.databases)
+                .map(|index| Job {
+                    driver,
+                    seed: derive_shard_seed(self.config.seed, index),
+                    databases: 1,
+                    index,
+                })
+                .collect(),
+        };
+        let mut trace = TraceSummary::new();
+        let mut results = Vec::with_capacity(jobs.len());
+        for (report, profile, summary) in self.run_jobs(&jobs) {
+            trace.merge(&summary);
+            results.push((report, profile));
+        }
+        let (reports, profiles): (Vec<_>, Vec<_>) = match &self.target {
+            RunTarget::Fleet(_) => results.into_iter().unzip(),
+            RunTarget::Sharded(driver) => {
+                let (report, profile) = merge_shards(driver.name(), results);
+                (vec![report], vec![profile])
+            }
+        };
+        let mut totals = CampaignMetrics::default();
+        let mut robustness = RobustnessCounters::default();
+        for report in &reports {
+            totals.merge(&report.metrics);
+            robustness.merge(&report.robustness);
+        }
+        RunOutcome {
+            reports,
+            profiles,
+            totals,
+            robustness,
+            trace: self.trace.then_some(trace),
+        }
+    }
+
+    /// The scheduler: up to `workers` scoped threads claim jobs from a
+    /// shared counter and write results back by job index. Every job runs
+    /// under [`CampaignRun::run_job_guarded`] whatever the worker count;
+    /// poisoned result slots are recovered, not propagated, and a slot
+    /// whose claiming worker died before writing is re-run inline.
+    fn run_jobs(&self, jobs: &[Job]) -> Vec<JobResult> {
+        let workers = self.workers.clamp(1, jobs.len().max(1));
+        if workers == 1 {
+            return jobs.iter().map(|job| self.run_job_guarded(job)).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let result = self.run_job_guarded(job);
+                        *slots[job.index]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner) = Some(result);
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .zip(jobs)
+            .map(|(slot, job)| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .unwrap_or_else(|| self.run_job_guarded(job))
+            })
+            .collect()
+    }
+
+    /// [`CampaignRun::run_job`] with panics contained: a job that panics
+    /// outside the supervisor's reach (e.g. its driver fails to connect)
+    /// keeps its slot as a degraded report carrying one
+    /// [`IncidentKind::WorkerPanic`] incident, an empty profile and an
+    /// empty trace summary, instead of taking the whole run down.
+    fn run_job_guarded(&self, job: &Job) -> JobResult {
+        catch_unwind(AssertUnwindSafe(|| self.run_job(job))).unwrap_or_else(|payload| {
+            let mut report = CampaignReport {
+                dbms_name: job.driver.name().to_string(),
+                degraded: true,
+                ..CampaignReport::default()
+            };
+            report.robustness.incidents = 1;
+            report.robustness.recovered_workers = 1;
+            report.incidents.push(CampaignIncident {
+                kind: IncidentKind::WorkerPanic,
+                database: 0,
+                case_index: 0,
+                attempt: 0,
+                deadline_ticks: 0,
+                observed_ticks: 0,
+                detail: format!("campaign worker panicked: {}", panic_message(&*payload)),
+            });
+            (report, FeatureStats::new(), TraceSummary::new())
+        })
+    }
+
+    /// One job: the job's seed and database count over the run's config, a
+    /// per-job checkpoint path, a pooled connection with the driver's
+    /// capability applied, checkpoint resume, and an optional tracer.
+    fn run_job(&self, job: &Job) -> JobResult {
+        let mut config = self.config.clone();
+        config.seed = job.seed;
+        config.databases = job.databases;
+        let mut supervision = self.supervision.clone();
+        if let Some(base) = &self.supervision.checkpoint_path {
+            supervision.checkpoint_path = Some(shard_checkpoint_path(base, job.index));
+        }
+        let tracer = self.trace.then(|| Rc::new(RefCell::new(Tracer::new())));
+        let mut campaign = Campaign::new(config);
+        campaign.set_trace(tracer.clone().map(|tracer| tracer as TraceHandle));
+        let mut pool = Pool::new(Arc::clone(job.driver), self.pool_size).unwrap_or_else(|err| {
+            panic!("pool for {} failed to connect: {err}", job.driver.name())
+        });
+        campaign.apply_capability(&pool.capability().clone());
+        let report = match resumable_checkpoint(&supervision, job.seed) {
+            Some(checkpoint) => campaign.resume(&mut pool, &supervision, checkpoint),
+            None => campaign.run_supervised(&mut pool, &supervision),
+        };
+        let summary = tracer.map_or_else(TraceSummary::new, |tracer| {
+            tracer.borrow().summary().clone()
+        });
+        (report, campaign.generator.stats.clone(), summary)
+    }
+}
+
+/// Loads the checkpoint a job should resume from, if any: the supervision
+/// config names a checkpoint path, the file loads, and the recorded seed
+/// matches the job's seed. A stale or foreign checkpoint (different seed)
+/// is ignored rather than trusted — the job simply runs fresh and
+/// overwrites it at the next cadence tick.
 fn resumable_checkpoint(supervision: &SupervisorConfig, seed: u64) -> Option<CampaignCheckpoint> {
     let path = supervision.checkpoint_path.as_deref()?;
     let checkpoint = load_checkpoint(path).ok()?;
     (checkpoint.config_seed == seed).then_some(checkpoint)
-}
-
-/// [`run_campaign_partitioned`] with explicit supervision: every shard runs
-/// under the watchdog/retry/quarantine supervisor, shard checkpoints write
-/// to `<checkpoint_path>.shard<index>`, and a shard whose checkpoint file
-/// already exists (same seed) **resumes** from it instead of starting over.
-/// Killing the process mid-campaign and re-invoking with the same
-/// configuration therefore converges to the same merged report as an
-/// uninterrupted run.
-///
-/// A shard worker that panics outside the supervisor's reach is recorded as
-/// a degraded [`worker_panic_report`] shard; poisoned shard slots are
-/// recovered, not propagated.
-pub fn run_campaign_partitioned_supervised(
-    preset: &DialectPreset,
-    base: &CampaignConfig,
-    path: ExecutionPath,
-    threads: usize,
-    supervision: &SupervisorConfig,
-) -> PartitionedCampaign {
-    run_campaign_partitioned_pooled(&preset.driver(path), base, threads, 1, supervision)
-}
-
-/// [`run_campaign_partitioned_supervised`] over a driver: every shard runs
-/// a pooled campaign (`pool_size` connections, seed-ordered checkout) with
-/// the driver's capability report applied. The merged report is
-/// byte-identical for any shard count *and* any pool size.
-pub fn run_campaign_partitioned_pooled(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    threads: usize,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-) -> PartitionedCampaign {
-    let run_shard_guarded = |index: usize| -> (CampaignReport, FeatureStats) {
-        catch_unwind(AssertUnwindSafe(|| {
-            run_one_shard(driver, base, pool_size, supervision, index, None)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                shard_panic_report(driver.name(), &*payload),
-                FeatureStats::new(),
-            )
-        })
-    };
-    let results = run_shards_scheduled(base.databases, threads, &run_shard_guarded);
-    merge_shards(driver.name(), results)
-}
-
-/// [`run_campaign_partitioned_pooled`] with per-shard trace collection:
-/// every shard runs with its own [`Tracer`] (trace sinks are
-/// single-threaded by design — `Rc`, not `Arc`) and the shard summaries
-/// fold into one [`TraceSummary`] by summation. Because shard summaries
-/// merge commutatively and per-case tick deltas are sampled inside the
-/// case (after pool checkout and re-sync), the merged summary — and its
-/// [`sqlancer_core::render_trace_summary`] rendering — is byte-identical
-/// for any `threads` and any `pool_size`.
-///
-/// A shard whose worker panics outside the supervisor's reach contributes
-/// a degraded [`worker_panic_report`] and an empty trace summary.
-pub fn run_campaign_partitioned_traced(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    threads: usize,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-) -> (PartitionedCampaign, TraceSummary) {
-    let run_shard_guarded = |index: usize| -> (CampaignReport, FeatureStats, TraceSummary) {
-        catch_unwind(AssertUnwindSafe(|| {
-            let tracer = Rc::new(RefCell::new(Tracer::new()));
-            let handle: TraceHandle = tracer.clone();
-            let (report, stats) =
-                run_one_shard(driver, base, pool_size, supervision, index, Some(handle));
-            let summary = tracer.borrow().summary().clone();
-            (report, stats, summary)
-        }))
-        .unwrap_or_else(|payload| {
-            (
-                shard_panic_report(driver.name(), &*payload),
-                FeatureStats::new(),
-                TraceSummary::new(),
-            )
-        })
-    };
-    let results = run_shards_scheduled(base.databases, threads, &run_shard_guarded);
-    let mut summary = TraceSummary::new();
-    let mut shards = Vec::with_capacity(results.len());
-    for (report, stats, shard_summary) in results {
-        summary.merge(&shard_summary);
-        shards.push((report, stats));
-    }
-    (merge_shards(driver.name(), shards), summary)
-}
-
-/// One database shard of a partitioned campaign: single-database config
-/// with the shard-derived seed, per-shard checkpoint path, pooled
-/// connections, checkpoint resume, and an optional trace sink.
-fn run_one_shard(
-    driver: &Arc<dyn Driver>,
-    base: &CampaignConfig,
-    pool_size: usize,
-    supervision: &SupervisorConfig,
-    index: usize,
-    trace: Option<TraceHandle>,
-) -> (CampaignReport, FeatureStats) {
-    let mut config = base.clone();
-    config.databases = 1;
-    config.seed = derive_shard_seed(base.seed, index);
-    let seed = config.seed;
-    let mut shard_sup = supervision.clone();
-    if let Some(base_path) = &supervision.checkpoint_path {
-        shard_sup.checkpoint_path = Some(shard_checkpoint_path(base_path, index));
-    }
-    let mut campaign = Campaign::new(config);
-    campaign.set_trace(trace);
-    let mut pool = Pool::new(Arc::clone(driver), pool_size)
-        .unwrap_or_else(|err| panic!("pool for {} failed to connect: {err}", driver.name()));
-    let report = match resumable_checkpoint(&shard_sup, seed) {
-        Some(checkpoint) => campaign.resume_pooled(&mut pool, &shard_sup, checkpoint),
-        None => campaign.run_pooled(&mut pool, &shard_sup),
-    };
-    (report, campaign.generator.stats.clone())
-}
-
-/// The degraded report for a shard worker that panicked outside the
-/// supervisor's reach.
-fn shard_panic_report(dialect: &str, payload: &(dyn std::any::Any + Send)) -> CampaignReport {
-    worker_panic_report(
-        dialect,
-        format!("shard worker panicked: {}", panic_message(payload)),
-    )
-}
-
-/// Runs `shards` shard jobs across up to `threads` scoped workers claiming
-/// indices from a shared counter, writing results back by shard index.
-/// Poisoned result slots are recovered, not propagated, and a slot whose
-/// claiming worker died before writing is re-run inline.
-fn run_shards_scheduled<T: Send>(
-    shards: usize,
-    threads: usize,
-    run_shard_guarded: &(impl Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let threads = threads.max(1).min(shards.max(1));
-    if threads <= 1 || shards <= 1 {
-        return (0..shards).map(run_shard_guarded).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= shards {
-                    break;
-                }
-                let result = run_shard_guarded(index);
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| run_shard_guarded(index))
-        })
-        .collect()
 }
 
 /// The injected infrastructure fault ids whose incidents appear in a
@@ -502,7 +359,10 @@ pub fn observed_infra_kinds(report: &CampaignReport) -> Vec<&'static str> {
 }
 
 /// Folds per-database shard results together in database order.
-fn merge_shards(dialect: &str, shards: Vec<(CampaignReport, FeatureStats)>) -> PartitionedCampaign {
+fn merge_shards(
+    dialect: &str,
+    shards: Vec<(CampaignReport, FeatureStats)>,
+) -> (CampaignReport, FeatureStats) {
     let mut merged = CampaignReport {
         dbms_name: dialect.to_string(),
         ..CampaignReport::default()
@@ -567,10 +427,7 @@ fn merge_shards(dialect: &str, shards: Vec<(CampaignReport, FeatureStats)>) -> P
         .metrics
         .detected_bug_cases
         .saturating_sub(merged.metrics.prioritized_bugs);
-    PartitionedCampaign {
-        report: merged,
-        profile,
-    }
+    (merged, profile)
 }
 
 #[cfg(test)]
@@ -599,12 +456,22 @@ mod tests {
         assert_ne!(a, derive_dialect_seed(2, "sqlite"));
     }
 
+    fn first_fleet(n: usize) -> Vec<Arc<dyn Driver>> {
+        fleet()
+            .iter()
+            .take(n)
+            .map(|preset| preset.driver(ExecutionPath::Ast))
+            .collect()
+    }
+
     #[test]
     fn parallel_run_matches_serial_run() {
-        let presets: Vec<_> = fleet().into_iter().take(4).collect();
-        let config = small_config();
-        let serial = run_fleet_serial(&presets, &config, ExecutionPath::Ast);
-        let parallel = run_fleet_parallel(&presets, &config, ExecutionPath::Ast, 4);
+        let serial = CampaignRun::fleet(first_fleet(4), small_config());
+        let parallel = CampaignRun {
+            workers: 4,
+            ..CampaignRun::fleet(first_fleet(4), small_config())
+        };
+        let (serial, parallel) = (serial.run(), parallel.run());
         assert_eq!(serial.reports.len(), parallel.reports.len());
         for (s, p) in serial.reports.iter().zip(&parallel.reports) {
             assert_eq!(s.dbms_name, p.dbms_name);
@@ -613,39 +480,40 @@ mod tests {
             assert_eq!(s.validity_series, p.validity_series);
         }
         assert_eq!(serial.totals, parallel.totals);
+        assert_eq!(serial.profiles.len(), serial.reports.len());
     }
 
     #[test]
     fn partitioned_run_is_identical_for_any_thread_count() {
-        let preset = crate::preset_by_name("mariadb").unwrap();
+        let driver = crate::preset_by_name("mariadb")
+            .unwrap()
+            .driver(ExecutionPath::Ast);
         let mut config = small_config();
         config.databases = 4;
         config.oracles = vec![OracleKind::Tlp, OracleKind::Isolation];
-        let serial = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-        let parallel = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 4);
-        assert_eq!(serial.report.dbms_name, parallel.report.dbms_name);
-        assert_eq!(serial.report.metrics, parallel.report.metrics);
-        assert_eq!(serial.report.reports, parallel.report.reports);
-        assert_eq!(
-            serial.report.validity_series,
-            parallel.report.validity_series
-        );
-        assert_eq!(serial.report.schedule_cases, parallel.report.schedule_cases);
-        let serial_profile: Vec<_> = serial
-            .profile
+        let run = |workers| {
+            let mut outcome = CampaignRun {
+                workers,
+                ..CampaignRun::sharded(Arc::clone(&driver), config.clone())
+            }
+            .run();
+            assert_eq!(outcome.reports.len(), 1);
+            (outcome.reports.remove(0), outcome.profiles.remove(0))
+        };
+        let (serial, serial_profile) = run(1);
+        let (parallel, parallel_profile) = run(4);
+        assert_eq!(serial.dbms_name, parallel.dbms_name);
+        assert_eq!(serial.metrics, parallel.metrics);
+        assert_eq!(serial.reports, parallel.reports);
+        assert_eq!(serial.validity_series, parallel.validity_series);
+        assert_eq!(serial.schedule_cases, parallel.schedule_cases);
+        assert!(serial_profile
             .iter_query()
-            .map(|(f, c)| (f.clone(), *c))
-            .collect();
-        let parallel_profile: Vec<_> = parallel
-            .profile
-            .iter_query()
-            .map(|(f, c)| (f.clone(), *c))
-            .collect();
-        assert_eq!(serial_profile, parallel_profile);
+            .eq(parallel_profile.iter_query()));
         // The invariant the merge-time prioritizer must preserve.
         assert_eq!(
-            serial.report.metrics.prioritized_bugs + serial.report.metrics.deduplicated_bugs,
-            serial.report.metrics.detected_bug_cases
+            serial.metrics.prioritized_bugs + serial.metrics.deduplicated_bugs,
+            serial.metrics.detected_bug_cases
         );
     }
 
@@ -658,8 +526,7 @@ mod tests {
 
     #[test]
     fn totals_accumulate_across_dialects() {
-        let presets: Vec<_> = fleet().into_iter().take(2).collect();
-        let report = run_fleet_serial(&presets, &small_config(), ExecutionPath::Ast);
+        let report = CampaignRun::fleet(first_fleet(2), small_config()).run();
         let sum: u64 = report.reports.iter().map(|r| r.metrics.test_cases).sum();
         assert_eq!(report.totals.test_cases, sum);
         assert!(report.totals.test_cases > 0);

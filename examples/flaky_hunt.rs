@@ -10,8 +10,9 @@
 //! 2. **breakers** — probe crashes and post-respawn flapping trip
 //!    per-slot circuit breakers; backoff on the virtual clock re-admits
 //!    the slots, and every trip and recovery lands in the incident ledger;
-//! 3. **clean verdicts** — the campaign completes undegraded with zero
-//!    infrastructure faults surfacing as logic-bug reports, and the
+//! 3. **clean verdicts** — the campaign (a database-sharded
+//!    [`CampaignRun`] over 2-connection pools) completes undegraded with
+//!    zero infrastructure faults surfacing as logic-bug reports, and the
 //!    rendered report is byte-identical for any pool size.
 //!
 //! ```bash
@@ -20,11 +21,10 @@
 
 use sqlancerpp::core::{
     render_report, silence_infra_panics, CampaignConfig, IncidentKind, OracleKind, Pool,
-    SupervisorConfig, INFRA_MARKER,
+    INFRA_MARKER,
 };
 use sqlancerpp::sim::{
-    observed_infra_kinds, preset_by_name, run_campaign_partitioned_pooled, ExecutionPath,
-    FaultyConfig,
+    observed_infra_kinds, preset_by_name, CampaignRun, ExecutionPath, FaultyConfig,
 };
 use std::sync::Arc;
 
@@ -71,10 +71,12 @@ fn main() {
     println!();
 
     // 2. + 3. The supervised pooled campaign rides out the storm.
-    let config = hunt_config(0xF1AC);
-    let supervision = SupervisorConfig::default();
-    let run = run_campaign_partitioned_pooled(&driver, &config, 1, 2, &supervision);
-    let report = &run.report;
+    let pooled = |pool_size| CampaignRun {
+        pool_size,
+        ..CampaignRun::sharded(Arc::clone(&driver), hunt_config(0xF1AC))
+    };
+    let run = pooled(2).run();
+    let report = &run.reports[0];
     println!(
         "campaign: {} cases, degraded = {}, logic bugs = {}",
         report.metrics.test_cases, report.degraded, report.metrics.prioritized_bugs
@@ -109,10 +111,10 @@ fn main() {
             bug.description
         );
     }
-    let other_pool = run_campaign_partitioned_pooled(&driver, &config, 1, 4, &supervision);
+    let other_pool = pooled(4).run();
     assert_eq!(
         render_report(report),
-        render_report(&other_pool.report),
+        render_report(&other_pool.reports[0]),
         "report must not depend on pool size"
     );
     println!("flaky hunt OK: campaign self-healed with zero false positives");

@@ -6,8 +6,8 @@
 //! * **deterministic plane** — per-case lifecycle events aggregated into
 //!   statement/verdict counters and virtual-tick latency histograms per
 //!   oracle. The rendered summary is byte-identical for any worker count
-//!   or pool size (demonstrated at the end against the partitioned
-//!   runner);
+//!   or pool size (demonstrated at the end by a traced, database-sharded
+//!   [`CampaignRun`] on 1 and 4 workers);
 //! * **wall-clock plane** — live progress snapshots while the campaign
 //!   runs, operational backend telemetry, and a JSONL flight-recorder
 //!   dump holding the complete event history of every bug case.
@@ -20,9 +20,7 @@ use sqlancerpp::core::{
     render_trace_summary, silence_infra_panics, validate_jsonl, Campaign, CampaignConfig,
     OracleKind, SupervisorConfig, TraceHandle, Tracer,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_traced, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, CampaignRun, ExecutionPath, FaultyConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -124,21 +122,24 @@ fn main() {
     );
     println!();
 
-    // Determinism: the merged trace summary of the partitioned runner is
+    // Determinism: the merged trace summary of a traced sharded run is
     // byte-identical for any worker count and pool size.
-    let driver = preset.driver(ExecutionPath::Ast);
-    let config = hunt_config(0x7247CE);
-    let supervision = SupervisorConfig::default();
-    let (_, serial) = run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-    let (_, sharded) = run_campaign_partitioned_traced(&driver, &config, 4, 2, &supervision);
+    let traced = |workers, pool_size| {
+        let run = CampaignRun {
+            workers,
+            pool_size,
+            trace: true,
+            ..CampaignRun::sharded(preset.driver(ExecutionPath::Ast), hunt_config(0x7247CE))
+        }
+        .run();
+        render_trace_summary(&run.trace.expect("a traced run yields a summary"))
+    };
     assert_eq!(
-        render_trace_summary(&serial),
-        render_trace_summary(&sharded),
+        traced(1, 1),
+        traced(4, 2),
         "trace summaries must not depend on worker or pool counts"
     );
-    println!(
-        "partitioned trace summaries: 1 worker x pool 1 == 4 workers x pool 2 (byte-identical)"
-    );
+    println!("sharded trace summaries: 1 worker x pool 1 == 4 workers x pool 2 (byte-identical)");
     println!(
         "campaign: {} cases, {} detected bug cases, {} prioritized, degraded={}",
         report.metrics.test_cases,

@@ -6,13 +6,14 @@
 //! coverage-directed mode keeps the same property — its weight boosts are
 //! derived from case seeds, never from wall clock or thread schedule.
 
+mod common;
+
+use common::assert_matrix_identical;
 use sqlancerpp::core::{
     load_checkpoint, render_atlas_report, render_report, Campaign, CampaignConfig, CampaignReport,
     OracleKind, SupervisorConfig,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_pooled, DialectPreset, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, CampaignRun, DialectPreset, ExecutionPath, FaultyConfig};
 use std::path::PathBuf;
 
 fn storm_preset(dialect: &str) -> DialectPreset {
@@ -53,43 +54,34 @@ fn scratch(name: &str) -> PathBuf {
 fn atlas_is_byte_identical_for_any_worker_pool_and_path() {
     let config = coverage_config(0xA71A5);
     let preset = storm_preset("dolt");
-    let supervision = SupervisorConfig::default();
-    let mut baselines = Vec::new();
-    for path in [ExecutionPath::Ast, ExecutionPath::Text] {
-        let driver = preset.driver(path);
-        let reference = run_campaign_partitioned_pooled(&driver, &config, 1, 1, &supervision);
-        let baseline = render_atlas_report(&reference.report);
-        assert!(
-            baseline.contains("oracle TLP") && baseline.contains("saturation novel"),
-            "atlas should render oracle and saturation sections:\n{baseline}"
-        );
-        assert!(
-            baseline.contains("engine statements"),
-            "the simulated backend must surface engine-plane coverage:\n{baseline}"
-        );
-        for threads in [1usize, 2] {
-            for pool_size in [1usize, 2, 4] {
-                let run = run_campaign_partitioned_pooled(
-                    &driver,
-                    &config,
-                    threads,
-                    pool_size,
-                    &supervision,
-                );
-                assert_eq!(
-                    baseline,
-                    render_atlas_report(&run.report),
-                    "{path:?} atlas drifted at {threads} threads, pool size {pool_size}"
-                );
-            }
+    let atlas = |path, workers, pool_size| {
+        let run = CampaignRun {
+            workers,
+            pool_size,
+            ..CampaignRun::sharded(preset.driver(path), config.clone())
         }
-        baselines.push(baseline);
-    }
+        .run();
+        render_atlas_report(&run.reports[0])
+    };
+    let baseline = atlas(ExecutionPath::Ast, 1, 1);
+    assert!(
+        baseline.contains("oracle TLP") && baseline.contains("saturation novel"),
+        "atlas should render oracle and saturation sections:\n{baseline}"
+    );
+    assert!(
+        baseline.contains("engine statements"),
+        "the simulated backend must surface engine-plane coverage:\n{baseline}"
+    );
     // Coverage is charged at the shared text/AST funnel, so the execution
-    // path is not an observable either.
-    assert_eq!(
-        baselines[0], baselines[1],
-        "text and AST paths must produce identical atlases"
+    // path is not an observable either: every cell of both paths must
+    // match the AST baseline.
+    assert_matrix_identical(
+        "atlas",
+        &baseline,
+        &[ExecutionPath::Ast, ExecutionPath::Text],
+        &[1, 2],
+        &[1, 2, 4],
+        atlas,
     );
 }
 
@@ -155,29 +147,37 @@ fn kill_at_k_resume_reports_the_same_atlas() {
 #[test]
 fn coverage_directed_mode_is_seed_stable_and_changes_generation() {
     let preset = storm_preset("dolt");
-    let supervision = SupervisorConfig::default();
-    let driver = preset.driver(ExecutionPath::Ast);
+    let run = |config: CampaignConfig, workers, pool_size| {
+        CampaignRun {
+            workers,
+            pool_size,
+            ..CampaignRun::sharded(preset.driver(ExecutionPath::Ast), config)
+        }
+        .run()
+        .reports
+        .remove(0)
+    };
 
     let directed = coverage_config_directed(0xD12EC7, true);
     let uniform = coverage_config(0xD12EC7);
 
-    let first = run_campaign_partitioned_pooled(&driver, &directed, 1, 1, &supervision);
-    let again = run_campaign_partitioned_pooled(&driver, &directed, 2, 2, &supervision);
+    let first = run(directed.clone(), 1, 1);
+    let again = run(directed, 2, 2);
     assert_eq!(
-        render_atlas_report(&first.report),
-        render_atlas_report(&again.report),
+        render_atlas_report(&first),
+        render_atlas_report(&again),
         "directed mode must stay deterministic across workers and pools"
     );
     assert_eq!(
-        render_report(&first.report),
-        render_report(&again.report),
+        render_report(&first),
+        render_report(&again),
         "directed-mode reports must stay deterministic too"
     );
 
-    let baseline = run_campaign_partitioned_pooled(&driver, &uniform, 1, 1, &supervision);
+    let baseline = run(uniform, 1, 1);
     assert_ne!(
-        render_atlas_report(&first.report),
-        render_atlas_report(&baseline.report),
+        render_atlas_report(&first),
+        render_atlas_report(&baseline),
         "the A/B knob must actually steer generation"
     );
 }

@@ -4,11 +4,11 @@
 //! report — must be **byte-identical** for any pool size. The pool size is
 //! purely a throughput knob, never an observable.
 
-use sqlancerpp::core::{render_report, CampaignConfig, OracleKind, SupervisorConfig};
-use sqlancerpp::sim::{
-    fleet_drivers, preset_by_name, run_campaign_partitioned_pooled, run_fleet_serial_drivers,
-    ExecutionPath,
-};
+mod common;
+
+use common::assert_matrix_identical;
+use sqlancerpp::core::{render_report, CampaignConfig, OracleKind};
+use sqlancerpp::sim::{fleet_drivers, preset_by_name, CampaignRun, ExecutionPath};
 
 fn pool_config(seed: u64) -> CampaignConfig {
     let mut config = CampaignConfig::builder()
@@ -29,44 +29,46 @@ fn pool_config(seed: u64) -> CampaignConfig {
     config
 }
 
-fn fleet_renderings(path: ExecutionPath, pool_size: usize) -> Vec<String> {
-    let drivers = fleet_drivers(path);
-    let fleet = run_fleet_serial_drivers(&drivers, &pool_config(0xB001), pool_size);
+fn fleet_rendering(path: ExecutionPath, workers: usize, pool_size: usize) -> String {
+    let fleet = CampaignRun {
+        workers,
+        pool_size,
+        ..CampaignRun::fleet(fleet_drivers(path), pool_config(0xB001))
+    }
+    .run();
     fleet.reports.iter().map(render_report).collect()
 }
 
 #[test]
 fn serial_fleet_reports_are_byte_identical_for_any_pool_size() {
-    for path in [ExecutionPath::Ast, ExecutionPath::Text] {
-        let baseline = fleet_renderings(path, 1);
-        for pool_size in [2, 4] {
-            let rendered = fleet_renderings(path, pool_size);
-            assert_eq!(
-                baseline, rendered,
-                "{path:?} fleet report drifted at pool size {pool_size}"
-            );
-        }
-    }
+    assert_matrix_identical(
+        "fleet report",
+        &fleet_rendering(ExecutionPath::Ast, 1, 1),
+        &[ExecutionPath::Ast, ExecutionPath::Text],
+        &[1, 2],
+        &[1, 2, 4],
+        fleet_rendering,
+    );
 }
 
 #[test]
 fn partitioned_campaign_is_byte_identical_for_any_pool_size() {
     let preset = preset_by_name("sqlite").expect("sqlite preset exists");
-    let driver = preset.driver(ExecutionPath::Text);
-    let supervision = SupervisorConfig::default();
-    let config = pool_config(0xB002);
-    let baseline = render_report(
-        &run_campaign_partitioned_pooled(&driver, &config, 2, 1, &supervision).report,
-    );
-    for pool_size in [2, 4] {
-        for threads in [1, 2] {
-            let run =
-                run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
-            assert_eq!(
-                baseline,
-                render_report(&run.report),
-                "partitioned report drifted at pool size {pool_size}, {threads} threads"
-            );
+    let render = |path, workers, pool_size| {
+        let run = CampaignRun {
+            workers,
+            pool_size,
+            ..CampaignRun::sharded(preset.driver(path), pool_config(0xB002))
         }
-    }
+        .run();
+        render_report(&run.reports[0])
+    };
+    assert_matrix_identical(
+        "partitioned report",
+        &render(ExecutionPath::Text, 2, 1),
+        &[ExecutionPath::Text],
+        &[1, 2],
+        &[1, 2, 4],
+        render,
+    );
 }

@@ -4,6 +4,9 @@
 //! sync-log replay surfaces as a supervision incident plus a retry —
 //! never as a half-built slot leaking into verdicts or checkpoints.
 
+mod common;
+
+use common::assert_matrix_identical;
 use sqlancerpp::core::supervisor::IncidentKind;
 use sqlancerpp::core::{
     load_checkpoint, render_report, silence_infra_panics, BackendEvent, Campaign, CampaignConfig,
@@ -11,9 +14,7 @@ use sqlancerpp::core::{
     QueryResult, ResilienceEvent, StateCheckpoint, StatementOutcome, StorageMetrics,
     SupervisorConfig, INFRA_MARKER,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_pooled, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, CampaignRun, ExecutionPath, FaultyConfig, RunOutcome};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -76,8 +77,22 @@ fn lying_driver_is_probed_downgraded_and_fuzzed_clean() {
     // The campaign runs to completion on the downgraded capability: the
     // rollback oracle self-suppresses instead of spraying rejected BEGINs.
     let config = resilience_config(0x11E5);
-    let supervision = SupervisorConfig::default();
-    let run = run_campaign_partitioned_pooled(&driver, &config, 1, 2, &supervision).report;
+    let render = |path, workers, pool_size| {
+        let run = CampaignRun {
+            workers,
+            pool_size,
+            ..CampaignRun::sharded(preset.driver(path), config.clone())
+        }
+        .run();
+        render_report(&run.reports[0])
+    };
+    let run = CampaignRun {
+        pool_size: 2,
+        ..CampaignRun::sharded(Arc::clone(&driver), config.clone())
+    }
+    .run()
+    .reports
+    .remove(0);
     assert!(run.metrics.test_cases > 0, "the campaign must actually run");
     assert!(
         !run.degraded && run.robustness.quarantines == 0 && run.robustness.infra_failures == 0,
@@ -105,16 +120,14 @@ fn lying_driver_is_probed_downgraded_and_fuzzed_clean() {
         .any(|incident| incident.kind == IncidentKind::CapabilityDrift));
 
     // Pool size and worker count stay non-observables while drifting.
-    let baseline = render_report(&run);
-    for (threads, pool_size) in [(1usize, 1usize), (2, 4)] {
-        let again =
-            run_campaign_partitioned_pooled(&driver, &config, threads, pool_size, &supervision);
-        assert_eq!(
-            baseline,
-            render_report(&again.report),
-            "lying-driver report drifted at {threads} workers, pool size {pool_size}"
-        );
-    }
+    assert_matrix_identical(
+        "lying-driver report",
+        &render_report(&run),
+        &[ExecutionPath::Ast],
+        &[1, 2],
+        &[1, 4],
+        render,
+    );
 }
 
 /// Wraps a driver and injects exactly one `infra:`-marked statement
@@ -313,12 +326,85 @@ fn dropped_frame_inside_sync_replay_raises_incident_and_never_leaks_into_verdict
         "the checkpoint must carry the pool's breaker/backoff state"
     );
     let mut pool = Pool::new(preset.driver(ExecutionPath::Ast), 2).expect("pool connects");
-    let resumed =
-        Campaign::new(config.clone()).resume_pooled(&mut pool, &checkpointing, checkpoint);
+    let mut campaign = Campaign::new(config.clone());
+    campaign.apply_capability(&pool.capability().clone());
+    let resumed = campaign.resume(&mut pool, &checkpointing, checkpoint);
     let _ = std::fs::remove_file(&path);
     assert_eq!(
         render_report(&resumed),
         render_report(&faulty),
         "resume after the mid-replay drop diverged from the uninterrupted run"
     );
+}
+
+/// A backend that is down: every connection attempt is refused.
+struct RefusingDriver;
+
+impl Driver for RefusingDriver {
+    fn name(&self) -> &str {
+        "refusing"
+    }
+    fn capability(&self) -> Capability {
+        Capability::default()
+    }
+    fn connect(&self) -> Result<Box<dyn DbmsConnection>, String> {
+        Err("connection refused (injected)".to_string())
+    }
+}
+
+#[test]
+fn a_driver_that_cannot_connect_degrades_its_slot_for_any_worker_count() {
+    silence_infra_panics();
+    let config = resilience_config(0xD0A1);
+    let healthy = |name| preset_by_name(name).unwrap().driver(ExecutionPath::Ast);
+    let refusing: Arc<dyn Driver> = Arc::new(RefusingDriver);
+    let fleet = || vec![healthy("sqlite"), Arc::clone(&refusing), healthy("duckdb")];
+    let rendered = |outcome: &RunOutcome| -> Vec<String> {
+        outcome.reports.iter().map(render_report).collect()
+    };
+
+    let serial = CampaignRun::fleet(fleet(), config.clone()).run();
+    let parallel = CampaignRun {
+        workers: 2,
+        ..CampaignRun::fleet(fleet(), config.clone())
+    }
+    .run();
+    assert_eq!(
+        rendered(&serial),
+        rendered(&parallel),
+        "the worker count must not be observable"
+    );
+
+    let down = &serial.reports[1];
+    assert!(down.degraded, "the refused slot must be marked degraded");
+    assert_eq!(down.dbms_name, "refusing");
+    assert_eq!(down.incidents.len(), 1);
+    assert_eq!(down.incidents[0].kind, IncidentKind::WorkerPanic);
+    for (slot, name) in [(0, "sqlite"), (2, "duckdb")] {
+        let solo = CampaignRun::fleet(vec![healthy(name)], config.clone()).run();
+        assert_eq!(
+            rendered(&serial)[slot],
+            rendered(&solo)[0],
+            "{name} must be unaffected by its neighbour's failure"
+        );
+    }
+
+    // A sharded run of the refusing driver degrades every shard the same
+    // way at any worker count.
+    let sharded = |workers| CampaignRun {
+        workers,
+        ..CampaignRun::sharded(Arc::clone(&refusing), config.clone())
+    };
+    let sharded_serial = sharded(1).run();
+    assert_eq!(
+        render_report(&sharded_serial.reports[0]),
+        render_report(&sharded(2).run().reports[0])
+    );
+    let report = &sharded_serial.reports[0];
+    assert!(report.degraded);
+    assert_eq!(report.incidents.len(), config.databases);
+    assert!(report
+        .incidents
+        .iter()
+        .all(|incident| incident.kind == IncidentKind::WorkerPanic));
 }

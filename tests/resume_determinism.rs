@@ -5,15 +5,16 @@
 //! oracles must reach the same verdicts whether the backend offers a
 //! snapshot facility or forces the SQL-text setup-replay fallback.
 
+mod common;
+
+use common::assert_matrix_identical;
 use sqlancerpp::core::{
     load_checkpoint, render_report, Campaign, CampaignConfig, CampaignReport, DbmsConnection,
     DialectQuirks, OracleKind, QueryResult, StateCheckpoint, StatementOutcome, StorageMetrics,
     SupervisorConfig,
 };
 use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned, run_campaign_partitioned_pooled,
-    run_campaign_partitioned_supervised, shard_checkpoint_path, DialectPreset, ExecutionPath,
-    FaultyConfig,
+    preset_by_name, shard_checkpoint_path, CampaignRun, DialectPreset, ExecutionPath, FaultyConfig,
 };
 use std::path::PathBuf;
 
@@ -95,51 +96,60 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
     }
 }
 
+/// A sharded run of `preset` under `supervision`: the merged report.
+fn sharded_run(
+    preset: &DialectPreset,
+    config: &CampaignConfig,
+    workers: usize,
+    pool_size: usize,
+    supervision: &SupervisorConfig,
+) -> CampaignReport {
+    CampaignRun {
+        workers,
+        pool_size,
+        supervision: supervision.clone(),
+        ..CampaignRun::sharded(preset.driver(ExecutionPath::Ast), config.clone())
+    }
+    .run()
+    .reports
+    .remove(0)
+}
+
 #[test]
 fn killed_partitioned_campaign_resumes_identically_for_any_worker_count() {
     let mut config = resume_config(0xFEED);
     config.databases = 3;
     let preset = storm_preset("mariadb");
-    let reference = run_campaign_partitioned(&preset, &config, ExecutionPath::Ast, 1);
-    let reference_text = render_report(&reference.report);
+    let reference = sharded_run(&preset, &config, 1, 1, &SupervisorConfig::default());
 
-    for threads in [1usize, 3usize] {
-        let path = scratch(&format!("partitioned_{threads}"));
-        cleanup(&path, config.databases);
-        let checkpointing = SupervisorConfig {
-            checkpoint_every: 4,
-            checkpoint_path: Some(path.clone()),
-            ..SupervisorConfig::default()
-        };
-        let killed = SupervisorConfig {
-            stop_after_cases: Some(9),
-            ..checkpointing.clone()
-        };
-        let partial = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &killed,
-        );
-        assert!(partial.report.metrics.test_cases < reference.report.metrics.test_cases);
+    assert_matrix_identical(
+        "partitioned kill-at-9 resume",
+        &render_report(&reference),
+        &[ExecutionPath::Ast],
+        &[1, 3],
+        &[1],
+        |_, workers, pool_size| {
+            let path = scratch(&format!("partitioned_{workers}"));
+            cleanup(&path, config.databases);
+            let checkpointing = SupervisorConfig {
+                checkpoint_every: 4,
+                checkpoint_path: Some(path.clone()),
+                ..SupervisorConfig::default()
+            };
+            let killed = SupervisorConfig {
+                stop_after_cases: Some(9),
+                ..checkpointing.clone()
+            };
+            let partial = sharded_run(&preset, &config, workers, pool_size, &killed);
+            assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
-        // Re-invoking the same partitioned campaign finds the per-shard
-        // checkpoint files and resumes each shard to completion.
-        let resumed = run_campaign_partitioned_supervised(
-            &preset,
-            &config,
-            ExecutionPath::Ast,
-            threads,
-            &checkpointing,
-        );
-        assert_eq!(
-            render_report(&resumed.report),
-            reference_text,
-            "{threads}-thread partitioned resume diverged from the uninterrupted run"
-        );
-        cleanup(&path, config.databases);
-    }
+            // Re-invoking the same partitioned campaign finds the per-shard
+            // checkpoint files and resumes each shard to completion.
+            let resumed = sharded_run(&preset, &config, workers, pool_size, &checkpointing);
+            cleanup(&path, config.databases);
+            render_report(&resumed)
+        },
+    );
 }
 
 /// Forwards everything but denies the snapshot facility, forcing the
@@ -254,51 +264,51 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
     let preset = preset_by_name("sqlite")
         .unwrap()
         .with_infra_faults(FaultyConfig::flaky());
-    let driver = preset.driver(ExecutionPath::Ast);
 
     // The uninterrupted reference must actually exercise the breakers:
     // probe crashes and post-respawn flapping trip them and the backoff
     // schedule recovers them.
-    let reference =
-        run_campaign_partitioned_pooled(&driver, &config, 1, 2, &SupervisorConfig::default());
-    let reference_text = render_report(&reference.report);
+    let reference = sharded_run(&preset, &config, 1, 2, &SupervisorConfig::default());
     assert!(
-        reference.report.robustness.breaker_trips > 0,
+        reference.robustness.breaker_trips > 0,
         "the flaky storm should trip at least one breaker in this campaign"
     );
 
-    for threads in [1usize, 3usize] {
-        let path = scratch(&format!("pooled_flaky_{threads}"));
-        cleanup(&path, config.databases);
-        let checkpointing = SupervisorConfig {
-            checkpoint_every: 4,
-            checkpoint_path: Some(path.clone()),
-            ..SupervisorConfig::default()
-        };
-        let killed = SupervisorConfig {
-            stop_after_cases: Some(9),
-            ..checkpointing.clone()
-        };
-        let partial = run_campaign_partitioned_pooled(&driver, &config, threads, 2, &killed);
-        assert!(partial.report.metrics.test_cases < reference.report.metrics.test_cases);
+    assert_matrix_identical(
+        "pooled flaky kill-at-9 resume",
+        &render_report(&reference),
+        &[ExecutionPath::Ast],
+        &[1, 3],
+        &[2],
+        |_, workers, pool_size| {
+            let path = scratch(&format!("pooled_flaky_{workers}"));
+            cleanup(&path, config.databases);
+            let checkpointing = SupervisorConfig {
+                checkpoint_every: 4,
+                checkpoint_path: Some(path.clone()),
+                ..SupervisorConfig::default()
+            };
+            let killed = SupervisorConfig {
+                stop_after_cases: Some(9),
+                ..checkpointing.clone()
+            };
+            let partial = sharded_run(&preset, &config, workers, pool_size, &killed);
+            assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
-        // The checkpoint files written mid-storm carry the pool's breaker
-        // and backoff state, so the resumed pool re-opens mid-backoff
-        // instead of forgetting the slot was misbehaving.
-        let carried = (0..config.databases)
-            .filter_map(|index| load_checkpoint(&shard_checkpoint_path(&path, index)).ok())
-            .any(|checkpoint| checkpoint.resilience.is_some());
-        assert!(
-            carried,
-            "at least one shard checkpoint must carry the breaker ledger"
-        );
+            // The checkpoint files written mid-storm carry the pool's
+            // breaker and backoff state, so the resumed pool re-opens
+            // mid-backoff instead of forgetting the slot was misbehaving.
+            let carried = (0..config.databases)
+                .filter_map(|index| load_checkpoint(&shard_checkpoint_path(&path, index)).ok())
+                .any(|checkpoint| checkpoint.resilience.is_some());
+            assert!(
+                carried,
+                "at least one shard checkpoint must carry the breaker ledger"
+            );
 
-        let resumed = run_campaign_partitioned_pooled(&driver, &config, threads, 2, &checkpointing);
-        assert_eq!(
-            render_report(&resumed.report),
-            reference_text,
-            "{threads}-thread pooled flaky resume diverged from the uninterrupted run"
-        );
-        cleanup(&path, config.databases);
-    }
+            let resumed = sharded_run(&preset, &config, workers, pool_size, &checkpointing);
+            cleanup(&path, config.databases);
+            render_report(&resumed)
+        },
+    );
 }

@@ -11,14 +11,15 @@
 //! every bug case's recorded history in the reference run must reappear —
 //! event for event — in the killed or resumed run's recorder.
 
+mod common;
+
+use common::assert_matrix_identical;
 use sqlancerpp::core::{
-    load_checkpoint, render_trace_summary, validate_jsonl, Campaign, CampaignConfig,
+    load_checkpoint, render_report, render_trace_summary, validate_jsonl, Campaign, CampaignConfig,
     CampaignReport, CaseRecord, FlightRecorder, OracleKind, SupervisorConfig, TraceEventKind,
     TraceHandle, Tracer,
 };
-use sqlancerpp::sim::{
-    preset_by_name, run_campaign_partitioned_traced, DialectPreset, ExecutionPath, FaultyConfig,
-};
+use sqlancerpp::sim::{preset_by_name, CampaignRun, DialectPreset, ExecutionPath, FaultyConfig};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -90,6 +91,28 @@ fn resume_traced(
     (report, tracer)
 }
 
+/// One traced sharded run: the rendered merged report and trace summary.
+fn traced_sharded(
+    preset: &DialectPreset,
+    config: &CampaignConfig,
+    path: ExecutionPath,
+    workers: usize,
+    pool_size: usize,
+) -> (String, String) {
+    let run = CampaignRun {
+        workers,
+        pool_size,
+        trace: true,
+        ..CampaignRun::sharded(preset.driver(path), config.clone())
+    }
+    .run();
+    let summary = run.trace.expect("a traced run yields a trace summary");
+    (
+        render_report(&run.reports[0]),
+        render_trace_summary(&summary),
+    )
+}
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sqlancerpp_trace_{}_{name}", std::process::id()))
 }
@@ -98,40 +121,23 @@ fn scratch(name: &str) -> PathBuf {
 fn trace_summary_is_byte_identical_for_any_worker_and_pool_count() {
     let config = trace_config(0x7ACE);
     let preset = storm_preset("dolt");
-    let mut baselines = Vec::new();
-    for path in [ExecutionPath::Ast, ExecutionPath::Text] {
-        let driver = preset.driver(path);
-        let supervision = SupervisorConfig::default();
-        let (_, baseline_summary) =
-            run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-        let baseline = render_trace_summary(&baseline_summary);
-        assert!(
-            baseline.contains("verdicts"),
-            "summary should render verdict counters:\n{baseline}"
-        );
-        for threads in [1usize, 2] {
-            for pool_size in [1usize, 2, 4] {
-                let (_, summary) = run_campaign_partitioned_traced(
-                    &driver,
-                    &config,
-                    threads,
-                    pool_size,
-                    &supervision,
-                );
-                assert_eq!(
-                    baseline,
-                    render_trace_summary(&summary),
-                    "{path:?} trace summary drifted at {threads} threads, pool size {pool_size}"
-                );
-            }
-        }
-        baselines.push(baseline);
-    }
+    let summary =
+        |path, workers, pool_size| traced_sharded(&preset, &config, path, workers, pool_size).1;
+    let baseline = summary(ExecutionPath::Ast, 1, 1);
+    assert!(
+        baseline.contains("verdicts"),
+        "summary should render verdict counters:\n{baseline}"
+    );
     // Statement costs are charged at the shared text/AST funnel, so the
-    // execution path is not an observable either.
-    assert_eq!(
-        baselines[0], baselines[1],
-        "text and AST paths must produce identical trace summaries"
+    // execution path is not an observable either: every cell of both
+    // paths must match the AST baseline.
+    assert_matrix_identical(
+        "trace summary",
+        &baseline,
+        &[ExecutionPath::Ast, ExecutionPath::Text],
+        &[1, 2],
+        &[1, 2, 4],
+        summary,
     );
 }
 
@@ -148,21 +154,19 @@ fn storm_fault_hitting_an_oracle_rebuild_does_not_break_pool_invariance() {
     config.queries_per_database = 120;
     config.max_reduction_checks = 24;
     let preset = storm_preset("dolt");
-    let driver = preset.driver(ExecutionPath::Ast);
-    let supervision = SupervisorConfig::default();
-    let (serial, serial_summary) =
-        run_campaign_partitioned_traced(&driver, &config, 1, 1, &supervision);
-    let (sharded, sharded_summary) =
-        run_campaign_partitioned_traced(&driver, &config, 2, 2, &supervision);
-    assert_eq!(
-        sqlancerpp::core::render_report(&serial.report),
-        sqlancerpp::core::render_report(&sharded.report),
-        "campaign reports must not depend on worker or pool counts"
-    );
-    assert_eq!(
-        render_trace_summary(&serial_summary),
-        render_trace_summary(&sharded_summary),
-        "trace summaries must not depend on worker or pool counts"
+    let (serial_report, serial_summary) =
+        traced_sharded(&preset, &config, ExecutionPath::Ast, 1, 1);
+    // Report and summary together, so either drifting fails the check.
+    assert_matrix_identical(
+        "campaign report and trace summary",
+        &format!("{serial_report}{serial_summary}"),
+        &[ExecutionPath::Ast],
+        &[2],
+        &[2],
+        |path, workers, pool_size| {
+            let (report, summary) = traced_sharded(&preset, &config, path, workers, pool_size);
+            format!("{report}{summary}")
+        },
     );
 }
 
