@@ -42,11 +42,12 @@ SMOKE_JSON=/tmp/ci_smoke_bench.json
 ./target/release/campaign_throughput --validate "$SMOKE_JSON"
 
 echo "==> within-dialect partitioned runner"
-# Shards one dialect's campaign across worker threads and asserts the
-# merged report (metrics, bug reports, replayable cases, validity series,
-# learned profile) is byte-identical to the single-worker run. The binary
-# probes available_parallelism() itself: the speedup assertion only arms
-# on multi-CPU machines, the identity check always runs.
+# Times one dialect's database-sharded campaign on one worker against all
+# available workers (median of interleaved pairs) and fails if sharding
+# makes it more than 10% slower. The binary probes available_parallelism()
+# itself, so the bound only arms on multi-CPU machines. That the merged
+# report and learned profiles are byte-identical for any worker count is
+# held by the runner test partitioned_run_is_identical_for_any_thread_count.
 ./target/release/campaign_throughput --partitioned-check mariadb
 
 echo "==> fault-storm robustness gate"
@@ -54,31 +55,29 @@ echo "==> fault-storm robustness gate"
 # result) on a backend and runs a supervised campaign. The binary asserts:
 # the campaign completes without aborting or quarantining, every infra_*
 # fault kind is observed with clean ground-truth bisection (disarming a
-# kind removes exactly its incidents), zero infrastructure faults surface
-# as logic-bug reports, and a campaign killed mid-run resumes from its
-# checkpoint file to a byte-identical report — serially and partitioned.
+# kind removes exactly its incidents), and zero infrastructure faults
+# surface as logic-bug reports. Kill-and-resume identity under the storm
+# (serial and sharded) is held by tests/resume_determinism.rs.
 ./target/release/campaign_throughput --fault-storm-check sqlite
 
 echo "==> observability (trace) gate"
 # Attaches the full tracing stack (deterministic summary, flight recorder,
-# JSONL dump) to a supervised campaign and asserts: the traced run keeps
-# the committed fraction of the untraced throughput and produces a
-# byte-identical report (tracing observes, never perturbs); under a full
-# fault storm the partitioned runner's merged trace summary is
-# byte-identical for any worker and pool count; every detected bug case
-# has a pinned flight-recorder history; and the JSONL dump written at
-# campaign end is well-formed and matches the in-memory document.
+# JSONL dump) to a supervised campaign and asserts the traced run keeps
+# the committed fraction of the untraced throughput (median of nine
+# interleaved pairs) with a byte-identical report: tracing observes, never
+# perturbs. Merged-summary identity under the storm and the pinned-history
+# and JSONL checks are held by tests/trace_determinism.rs.
 ./target/release/campaign_throughput --trace-check dolt
 
 echo "==> coverage-atlas gate"
-# Asserts the rendered coverage atlas is byte-identical for any worker
-# count, pool size and execution path under a full fault storm; that
-# coverage-directed scheduling reaches at least the uniform scheduler's
-# distinct-feature coverage at the same case budget; that the atlas
-# accounting keeps the committed fraction of an accounting-free
-# baseline's throughput with a byte-identical report; and that the atlas
-# line flushed through the flight-recorder JSONL path is well-formed and
-# matches the final report's atlas exactly.
+# Asserts that coverage-directed scheduling reaches at least the uniform
+# scheduler's distinct-feature coverage at the same case budget; that the
+# atlas accounting keeps the committed fraction of an accounting-free
+# baseline's throughput (median of nine interleaved pairs) with a
+# byte-identical report; and that the atlas line flushed through the
+# flight-recorder JSONL path is well-formed and matches the final report's
+# atlas exactly. Atlas identity for any worker count, pool size and path
+# under the storm is held by tests/coverage_determinism.rs.
 ./target/release/campaign_throughput --coverage-check dolt
 
 echo "==> self-healing connection-layer (flaky-backend) gate"
@@ -87,10 +86,10 @@ echo "==> self-healing connection-layer (flaky-backend) gate"
 # respawns. The binary asserts: the driver is probed and downgraded, the
 # campaign completes without degrading, zero faults surface as
 # logic-bug reports, every breaker trip and recovery is in the incident
-# ledger, the rendered report is byte-identical across pool sizes 1/2/4,
-# worker counts and both execution paths while breakers trip and recover,
-# and the flaky campaign keeps the committed fraction of the healthy
-# pooled campaign's throughput.
+# ledger, and the flaky campaign keeps the committed fraction of the
+# healthy pooled campaign's throughput. Report identity across paths,
+# workers and pool sizes while breakers trip and recover is held by
+# tests/resume_determinism.rs.
 ./target/release/campaign_throughput --flaky-check sqlite
 
 echo "==> subprocess-sqlite wire-backend gate"

@@ -1017,6 +1017,8 @@ pub struct Tracer {
     telemetry: BackendTelemetry,
     recorder: Option<FlightRecorder>,
     jsonl_path: Option<PathBuf>,
+    /// JSONL flushes whose write or rename failed (wall-clock plane).
+    jsonl_flush_failures: u64,
     /// The latest coverage-atlas JSON line the campaign handed over
     /// (updated at every checkpoint flush and at campaign end).
     atlas_line: Option<String>,
@@ -1050,6 +1052,7 @@ impl Tracer {
             telemetry: BackendTelemetry::default(),
             recorder: None,
             jsonl_path: None,
+            jsonl_flush_failures: 0,
             atlas_line: None,
             progress: None,
             started: Instant::now(),
@@ -1098,6 +1101,13 @@ impl Tracer {
     /// The wall-clock backend telemetry accumulated so far.
     pub fn telemetry(&self) -> &BackendTelemetry {
         &self.telemetry
+    }
+
+    /// JSONL flushes that failed to write or rename their file so far.
+    /// A failed flush never fails the campaign; this count is how it
+    /// surfaces.
+    pub fn jsonl_flush_failures(&self) -> u64 {
+        self.jsonl_flush_failures
     }
 
     /// The flight recorder, if one was configured. Call
@@ -1285,15 +1295,19 @@ impl TraceSink for Tracer {
             recorder.seal();
         }
         // Telemetry must never fail the campaign: write errors are
-        // dropped (the in-memory recorder stays available regardless).
+        // counted, not raised (the in-memory recorder stays available
+        // regardless).
         if let (Some(path), Some(text)) = (self.jsonl_path.clone(), self.jsonl()) {
             let tmp = {
                 let mut os = path.as_os_str().to_os_string();
                 os.push(".tmp");
                 PathBuf::from(os)
             };
-            if std::fs::write(&tmp, text).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
+            if std::fs::write(&tmp, text)
+                .and_then(|()| std::fs::rename(&tmp, &path))
+                .is_err()
+            {
+                self.jsonl_flush_failures += 1;
             }
         }
     }
@@ -1623,6 +1637,35 @@ mod tests {
         assert_eq!(lines, 3); // header + 1 pinned case + telemetry footer
         assert!(jsonl.contains("\"outcome\":\"infra_failed\""));
         assert!(jsonl.contains("\"wire_bytes_written\":128"));
+    }
+
+    #[test]
+    fn failed_jsonl_flushes_are_counted_not_raised() {
+        let missing_dir = std::env::temp_dir().join(format!(
+            "sqlancerpp_trace_missing_dir_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&missing_dir);
+        let mut tracer = Tracer::new().with_jsonl_path(missing_dir.join("trace.jsonl"));
+        tracer.begin_campaign("toy");
+        tracer.flush(FlushReason::Checkpoint);
+        tracer.flush(FlushReason::CampaignEnd);
+        assert_eq!(tracer.jsonl_flush_failures(), 2);
+        // The in-memory document survives, and the count stays out of it.
+        let jsonl = tracer.jsonl().unwrap();
+        assert!(validate_jsonl(&jsonl).is_ok());
+        assert!(!jsonl.contains("flush"));
+        assert!(!render_trace_summary(tracer.summary()).contains("flush"));
+
+        let ok_path = std::env::temp_dir().join(format!(
+            "sqlancerpp_trace_flush_ok_{}.jsonl",
+            std::process::id()
+        ));
+        let mut tracer = Tracer::new().with_jsonl_path(ok_path.clone());
+        tracer.begin_campaign("toy");
+        tracer.flush(FlushReason::CampaignEnd);
+        assert_eq!(tracer.jsonl_flush_failures(), 0);
+        let _ = std::fs::remove_file(&ok_path);
     }
 
     #[test]

@@ -96,10 +96,12 @@ fn killed_serial_campaign_resumes_to_byte_identical_report() {
     }
 }
 
-/// A sharded run of `preset` under `supervision`: the merged report.
+/// A sharded run of `preset` on `path` under `supervision`: the merged
+/// report.
 fn sharded_run(
     preset: &DialectPreset,
     config: &CampaignConfig,
+    path: ExecutionPath,
     workers: usize,
     pool_size: usize,
     supervision: &SupervisorConfig,
@@ -108,7 +110,7 @@ fn sharded_run(
         workers,
         pool_size,
         supervision: supervision.clone(),
-        ..CampaignRun::sharded(preset.driver(ExecutionPath::Ast), config.clone())
+        ..CampaignRun::sharded(preset.driver(path), config.clone())
     }
     .run()
     .reports
@@ -119,37 +121,48 @@ fn sharded_run(
 fn killed_partitioned_campaign_resumes_identically_for_any_worker_count() {
     let mut config = resume_config(0xFEED);
     config.databases = 3;
-    let preset = storm_preset("mariadb");
-    let reference = sharded_run(&preset, &config, 1, 1, &SupervisorConfig::default());
+    for dialect in ["mariadb", "sqlite"] {
+        let preset = storm_preset(dialect);
+        let reference = sharded_run(
+            &preset,
+            &config,
+            ExecutionPath::Ast,
+            1,
+            1,
+            &SupervisorConfig::default(),
+        );
 
-    assert_matrix_identical(
-        "partitioned kill-at-9 resume",
-        &render_report(&reference),
-        &[ExecutionPath::Ast],
-        &[1, 3],
-        &[1],
-        |_, workers, pool_size| {
-            let path = scratch(&format!("partitioned_{workers}"));
-            cleanup(&path, config.databases);
-            let checkpointing = SupervisorConfig {
-                checkpoint_every: 4,
-                checkpoint_path: Some(path.clone()),
-                ..SupervisorConfig::default()
-            };
-            let killed = SupervisorConfig {
-                stop_after_cases: Some(9),
-                ..checkpointing.clone()
-            };
-            let partial = sharded_run(&preset, &config, workers, pool_size, &killed);
-            assert!(partial.metrics.test_cases < reference.metrics.test_cases);
+        assert_matrix_identical(
+            &format!("{dialect} partitioned kill-at-9 resume"),
+            &render_report(&reference),
+            &[ExecutionPath::Ast],
+            &[1, 3],
+            &[1],
+            |path, workers, pool_size| {
+                let scratch_path = scratch(&format!("partitioned_{dialect}_{workers}"));
+                cleanup(&scratch_path, config.databases);
+                let checkpointing = SupervisorConfig {
+                    checkpoint_every: 4,
+                    checkpoint_path: Some(scratch_path.clone()),
+                    ..SupervisorConfig::default()
+                };
+                let killed = SupervisorConfig {
+                    stop_after_cases: Some(9),
+                    ..checkpointing.clone()
+                };
+                let partial = sharded_run(&preset, &config, path, workers, pool_size, &killed);
+                assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
-            // Re-invoking the same partitioned campaign finds the per-shard
-            // checkpoint files and resumes each shard to completion.
-            let resumed = sharded_run(&preset, &config, workers, pool_size, &checkpointing);
-            cleanup(&path, config.databases);
-            render_report(&resumed)
-        },
-    );
+                // Re-invoking the same partitioned campaign finds the
+                // per-shard checkpoint files and resumes each shard to
+                // completion.
+                let resumed =
+                    sharded_run(&preset, &config, path, workers, pool_size, &checkpointing);
+                cleanup(&scratch_path, config.databases);
+                render_report(&resumed)
+            },
+        );
+    }
 }
 
 /// Forwards everything but denies the snapshot facility, forcing the
@@ -268,46 +281,76 @@ fn killed_pooled_flaky_campaign_resumes_with_breaker_state() {
     // The uninterrupted reference must actually exercise the breakers:
     // probe crashes and post-respawn flapping trip them and the backoff
     // schedule recovers them.
-    let reference = sharded_run(&preset, &config, 1, 2, &SupervisorConfig::default());
+    let reference = sharded_run(
+        &preset,
+        &config,
+        ExecutionPath::Ast,
+        1,
+        2,
+        &SupervisorConfig::default(),
+    );
     assert!(
         reference.robustness.breaker_trips > 0,
         "the flaky storm should trip at least one breaker in this campaign"
     );
+    let reference_text = render_report(&reference);
+
+    // Uninterrupted, the report is the same for any path, worker count
+    // and pool size while breakers trip and recover.
+    assert_matrix_identical(
+        "pooled flaky campaign",
+        &reference_text,
+        &[ExecutionPath::Ast, ExecutionPath::Text],
+        &[1, 2],
+        &[1, 2, 4],
+        |path, workers, pool_size| {
+            render_report(&sharded_run(
+                &preset,
+                &config,
+                path,
+                workers,
+                pool_size,
+                &SupervisorConfig::default(),
+            ))
+        },
+    );
 
     assert_matrix_identical(
         "pooled flaky kill-at-9 resume",
-        &render_report(&reference),
+        &reference_text,
         &[ExecutionPath::Ast],
         &[1, 3],
         &[2],
-        |_, workers, pool_size| {
-            let path = scratch(&format!("pooled_flaky_{workers}"));
-            cleanup(&path, config.databases);
+        |path, workers, pool_size| {
+            let scratch_path = scratch(&format!("pooled_flaky_{workers}"));
+            cleanup(&scratch_path, config.databases);
             let checkpointing = SupervisorConfig {
                 checkpoint_every: 4,
-                checkpoint_path: Some(path.clone()),
+                checkpoint_path: Some(scratch_path.clone()),
                 ..SupervisorConfig::default()
             };
             let killed = SupervisorConfig {
                 stop_after_cases: Some(9),
                 ..checkpointing.clone()
             };
-            let partial = sharded_run(&preset, &config, workers, pool_size, &killed);
+            let partial = sharded_run(&preset, &config, path, workers, pool_size, &killed);
             assert!(partial.metrics.test_cases < reference.metrics.test_cases);
 
             // The checkpoint files written mid-storm carry the pool's
             // breaker and backoff state, so the resumed pool re-opens
             // mid-backoff instead of forgetting the slot was misbehaving.
             let carried = (0..config.databases)
-                .filter_map(|index| load_checkpoint(&shard_checkpoint_path(&path, index)).ok())
+                .filter_map(|index| {
+                    load_checkpoint(&shard_checkpoint_path(&scratch_path, index)).ok()
+                })
                 .any(|checkpoint| checkpoint.resilience.is_some());
             assert!(
                 carried,
                 "at least one shard checkpoint must carry the breaker ledger"
             );
 
-            let resumed = sharded_run(&preset, &config, workers, pool_size, &checkpointing);
-            cleanup(&path, config.databases);
+            let resumed = sharded_run(&preset, &config, path, workers, pool_size, &checkpointing);
+            cleanup(&scratch_path, config.databases);
             render_report(&resumed)
         },
     );
